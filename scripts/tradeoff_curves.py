@@ -3,16 +3,16 @@
 
 Each output file has one row per grid point with the information gain,
 disturbance, missing information, and Groenewold gain on the chosen input
-state, ready for plotting with any external tool.
+state, ready for plotting with any external tool.  Every file is written by
+``infobalance sweep``, so the script and the CLI produce the same bytes.
 """
 
 import argparse
-import csv
+import sys
 from pathlib import Path
 
-import numpy as np
-
 import infobalance as ib
+from infobalance.cli import main as cli_main
 
 
 def main() -> None:
@@ -26,37 +26,13 @@ def main() -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(0.0, 1.0, args.points)
-
-    for name, family in sorted(ib.FAMILIES.items()):
+    for name in sorted(ib.FAMILIES):
         path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["parameter", "iota", "delta", "noise", "iota_g", "residual_balance"]
-            )
-            for t in grid:
-                instr = family(float(t))
-                if args.state.startswith("diag:"):
-                    p = float(args.state.split(":", 1)[1])
-                    matrix = np.diag([p, 1.0 - p]).astype(complex)
-                else:
-                    matrix = np.eye(instr.d_in) / instr.d_in
-                rho = ib.LabeledState(
-                    [ib.Subsystem("Q", instr.d_in)], matrix
-                )
-                rep = ib.balance_report(instr, rho)
-                writer.writerow(
-                    [
-                        format(float(t), ".17g"),
-                        format(rep.iota, ".17g"),
-                        format(rep.delta, ".17g"),
-                        format(rep.noise, ".17g"),
-                        format(rep.iota_g, ".17g"),
-                        format(rep.residual_balance, ".17g"),
-                    ]
-                )
-        print(f"{name:<20} -> {path}")
+        argv = ["sweep", "--family", name, "--points", str(args.points),
+                "--state", args.state, "--out", str(path), "--quiet"]
+        code = cli_main(argv)
+        if code:
+            sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from .tensors import (
     entropy_bits,
     func_on_support,
     partial_trace,
-    support_projector,
     tensor_product,
     von_neumann_entropy,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .encodings import holevo_check
-from .errors import DimensionMismatch, InfoBalanceError, ParseError
+from .errors import InfoBalanceError, ParseError
 from .families import DEFAULT_PARAMS, FAMILIES
 from .measures import BalanceReport, balance_report, disturbance
 from .objects import Instrument, purify, random_instrument, validate
@@ -42,6 +42,13 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{what}: {text!r} is not a number") from None
+
+
 def _load_instrument(arg: str, check: bool = True) -> Instrument:
     if arg.startswith("family:"):
         rest = arg[len("family:"):]
@@ -50,29 +57,23 @@ def _load_instrument(arg: str, check: bool = True) -> Instrument:
             raise InfoBalanceError(
                 f"unknown family {name!r}; built-ins: {sorted(FAMILIES)}"
             )
-        t = float(param) if param else DEFAULT_PARAMS[name]
+        t = _number(param, "family parameter") if param else DEFAULT_PARAMS[name]
         return FAMILIES[name](t)
     return loads_instrument(_read_text(arg), validate_invariants=check)
 
 
 def _load_state(source: str, d_in: int) -> LabeledState:
+    """The input state; its dimension is checked by the library call it feeds."""
     if source == "maximally-mixed":
         return LabeledState((Subsystem("Q", d_in),), np.eye(d_in) / d_in)
     if source.startswith("diag:"):
-        values = [float(v) for v in source[len("diag:"):].split(",") if v]
+        entries = source[len("diag:"):].split(",")
+        values = [_number(v, "diag state") for v in entries if v]
         if len(values) == 1:
             values = [values[0], 1.0 - values[0]]
-        if len(values) != d_in:
-            raise DimensionMismatch(
-                f"diagonal preset has {len(values)} entries, instrument needs {d_in}"
-            )
-        return LabeledState((Subsystem("Q", d_in),), np.diag(values).astype(complex))
-    state = loads_state(_read_text(source))
-    if state.dim != d_in:
-        raise DimensionMismatch(
-            f"state dimension {state.dim} != instrument d_in {d_in}"
-        )
-    return state
+        diag = np.diag(values).astype(complex)
+        return LabeledState((Subsystem("Q", len(values)),), diag)
+    return loads_state(_read_text(source))
 
 
 def _banner(args) -> None:
@@ -165,7 +166,7 @@ def cmd_sweep(args) -> int:
         )
     family = FAMILIES[args.family]
     if args.grid:
-        grid = [float(v) for v in args.grid.split(",") if v]
+        grid = [_number(v, "--grid") for v in args.grid.split(",") if v]
     else:
         grid = list(np.linspace(0.0, 1.0, args.points))
     if not grid:
@@ -345,6 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("seed", "trials", "points"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise ParseError(f"--{flag} must be nonnegative, got {value}")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,12 +1,16 @@
-"""Indirect-measurement extension of an instrument.
+"""Indirect-measurement extension of an instrument, built explicitly.
 
 The instrument is realized as a single isometry from the input space into
 output ⊗ outcome-register ⊗ multiplicity spaces.  Applying it to the
 purified input and conditioning on the register value gives one pure state
 per outcome on [R, Qp, App]; averaging with the register recorded gives the
-joint state on [R, Qp, App, X] that every information measure reduces from.
-The apparatus initial state and the explicit system-apparatus unitary are
-never materialized: all derived quantities depend only on the isometry, and
+dense joint state on [R, Qp, App, X], whose side is d_R·d_out·mult·n.
+:mod:`infobalance.measures` never builds it: it reads the same entropies
+from per-outcome spectra.  This module is the explicit construction, for
+callers who want the states themselves and for tests that check the
+measures against entropies of the joint state.  The apparatus initial state
+and the explicit system-apparatus unitary are never materialized: all
+derived quantities depend only on the isometry, and
 :func:`unitary_completion` provides an explicit unitary when one is wanted.
 """
 
@@ -17,13 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     NotIsometry,
     UnknownLabel,
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .objects import PROB_EPS, Instrument, PurifiedInput, require_valid
+from .objects import (
+    PROB_EPS,
+    Instrument,
+    PurifiedInput,
+    _check_input_state,
+    require_valid,
+)
 from .tensors import LabeledState, Subsystem, partial_trace
 
 REFERENCE = "R"
@@ -64,11 +73,7 @@ def dilate(instr: Instrument, inp: PurifiedInput) -> DilationBundle:
     matrix) so memory stays at one (d_R·d_out·mult)² block per outcome.
     """
     require_valid(instr)
-    if inp.rho.dim != instr.d_in:
-        raise DimensionMismatch(
-            f"purified input is on dimension {inp.rho.dim}, instrument expects "
-            f"{instr.d_in}"
-        )
+    _check_input_state(instr, inp.rho)
     d_r, d_out = inp.r_dim, instr.d_out
     n = instr.n_outcomes
     mult = instr.max_multiplicity
@@ -79,9 +84,12 @@ def dilate(instr: Instrument, inp: PurifiedInput) -> DilationBundle:
         Subsystem(OUTPUT, d_out),
         Subsystem(APPARATUS, mult),
     )
+    d3 = d_r * d_out * mult
     probs = np.zeros(n)
     conds: list[LabeledState | None] = []
-    weighted: list[np.ndarray | None] = []
+    theta = np.zeros((d3 * n, d3 * n), dtype=complex)
+    # X is the last factor, so outcome m owns rows and columns m, m + n, ...
+    register_blocks = theta.reshape(d3, n, d3, n)
     for idx, om in enumerate(instr.outcomes):
         t = np.zeros((d_r, d_out, mult), dtype=complex)
         for k, e in enumerate(om.kraus):
@@ -91,20 +99,10 @@ def dilate(instr: Instrument, inp: PurifiedInput) -> DilationBundle:
         probs[idx] = p
         if p <= PROB_EPS:
             conds.append(None)
-            weighted.append(None)
             continue
         outer = np.outer(flat, flat.conj())
         conds.append(LabeledState(labels3, outer / p, validate=False))
-        weighted.append(outer)
-
-    d3 = d_r * d_out * mult
-    theta = np.zeros((d3 * n, d3 * n), dtype=complex)
-    for idx, block in enumerate(weighted):
-        if block is None:
-            continue
-        unit = np.zeros((n, n))
-        unit[idx, idx] = 1.0
-        theta += np.kron(block, unit)
+        register_blocks[:, idx, :, idx] = outer
     theta_full = LabeledState(
         labels3 + (Subsystem(REGISTER, n),), theta, validate=False
     )

@@ -22,7 +22,13 @@ from .errors import InfoBalanceError
 from .objects import Instrument, OutcomeMap
 
 
+def _check_unit(name: str, t: float) -> None:
+    if not 0.0 <= t <= 1.0:
+        raise InfoBalanceError(f"{name} parameter {t} outside [0, 1]")
+
+
 def projective(t: float = 0.0) -> Instrument:
+    _check_unit("projective", t)
     theta = float(t) * np.pi / 4.0
     c, s = np.cos(theta), np.sin(theta)
     v0 = np.array([c, s], dtype=complex)
@@ -39,8 +45,7 @@ def projective(t: float = 0.0) -> Instrument:
 
 def filter_family(t: float) -> Instrument:
     """E_0 = diag(1-t, 1) with the completing filter on the other outcome."""
-    if not 0.0 <= t <= 1.0:
-        raise InfoBalanceError(f"filter parameter {t} outside [0, 1]")
+    _check_unit("filter", t)
     a = 1.0 - float(t)
     b = np.sqrt(max(1.0 - a * a, 0.0))
     return Instrument(
@@ -55,8 +60,7 @@ def filter_family(t: float) -> Instrument:
 
 def partial_dephasing(t: float) -> Instrument:
     """Weak computational-basis measurement of strength t."""
-    if not 0.0 <= t <= 1.0:
-        raise InfoBalanceError(f"partial-dephasing parameter {t} outside [0, 1]")
+    _check_unit("partial-dephasing", t)
     a = np.sqrt((1.0 + float(t)) / 2.0)
     b = np.sqrt((1.0 - float(t)) / 2.0)
     return Instrument(
@@ -74,8 +78,7 @@ def depolarizing(p: float = 1.0) -> Instrument:
 
     At p = 1 the single outcome map is sigma -> Tr(sigma) * I/4.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InfoBalanceError(f"depolarizing parameter {p} outside [0, 1]")
+    _check_unit("depolarizing", p)
     embed = np.zeros((4, 2), dtype=complex)
     embed[0, 0] = embed[1, 1] = 1.0
     kraus: list[np.ndarray] = []

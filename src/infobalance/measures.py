@@ -14,36 +14,31 @@ The three headline quantities, all in bits:
 
 They satisfy the balance identity iota + Delta = delta, hence the tradeoff
 iota <= delta, with equality exactly when every outcome map has a single
-Kraus operator.  Each quantity is evaluated through two independent routes
-whose residuals are recorded; negative round-off is clipped to zero only
-for quantities that are provably nonnegative.
+Kraus operator.
+
+The joint state on [R, Qp, App, X] is never built: every quantity is an
+average over outcomes of small per-outcome spectra, each evaluated by two
+routes that share no matrix (see ``_Analysis``).  Negative round-off is
+clipped to zero only for quantities that are provably nonnegative.
+:func:`infobalance.dilation.dilate` builds the joint state explicitly, and
+the tests compare these functionals against entropies of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .dilation import APPARATUS, OUTPUT, REFERENCE, REGISTER, dilate
 from .errors import (
     BadDistribution,
-    DimensionMismatch,
     LabelOverlap,
     NumericalInconsistency,
-    UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .objects import (
-    PROB_EPS,
-    Instrument,
-    povm_of,
-    purify,
-    require_valid,
-)
-from .tensors import ENTROPY_CUTOFF, LabeledState, Subsystem, entropy_bits, partial_trace
+from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
+from .tensors import ENTROPY_CUTOFF, LabeledState, entropy_bits, partial_trace
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -75,7 +70,8 @@ def shannon_entropy(probs: Sequence[float]) -> float:
     if p.size and (float(p.min()) < -1e-9 or abs(float(p.sum()) - 1.0) > 1e-9):
         raise BadDistribution("probabilities must be nonnegative and sum to 1")
     p = p[p > ENTROPY_CUTOFF]
-    return float(-(p * np.log2(p)).sum()) if p.size else 0.0
+    # adding 0.0 turns the -0.0 of a certain outcome into 0.0
+    return float(-(p * np.log2(p)).sum()) + 0.0 if p.size else 0.0
 
 
 def _disjoint(*groups: Sequence[str]) -> None:
@@ -162,109 +158,111 @@ def chi_quantity(ensemble: Sequence[tuple[float, LabeledState]]) -> float:
 # -- per-measurement analysis --------------------------------------------------
 
 
+def _schmidt_entropy(amplitudes: np.ndarray, p: float) -> float:
+    """Entropy in bits of either marginal of the pure state amplitudes/sqrt(p),
+    whose rows index one part and whose columns index the other."""
+    s = np.linalg.svd(amplitudes, compute_uv=False)
+    return shannon_entropy(s * s / p)
+
+
 class _Analysis:
-    """Shared machinery: one purification + dilation reused by every measure."""
+    """Per-outcome spectra of one (state, instrument) pair, by two routes.
+
+    Given outcome m the dilated state on [R, Qp, App] is pure, with
+    amplitudes T_m[k, r, q] = (psi E_{m,k}^T)[r, q], and the register X is
+    classical, so every quantity is a p_m-average of S(R|m), S(Qp|m) and
+    S(App|m).  The purification side reads them from the singular values of
+    T_m split three ways.  The state side reads them from the reference
+    ensemble member psi P_m^T psi† / p_m, the posterior E_m(rho) / p_m and
+    the entropy-exchange matrix W_m[k, k'] = Tr(E_k rho E_k'†) / p_m
+    (Schumacher, PRA 54, 2614, 1996).  The two sides share no matrix, so
+    every comparison between them is a numerical cross-check.
+    """
 
     def __init__(self, instr: Instrument, rho: LabeledState) -> None:
         require_valid(instr)
-        if rho.dim != instr.d_in:
-            raise DimensionMismatch(
-                f"state dimension {rho.dim} != instrument d_in {instr.d_in}"
+        _check_input_state(instr, rho)
+        psi = purify(rho).psi_matrix
+        d_r, d_out, n = psi.shape[0], instr.d_out, instr.n_outcomes
+        kraus = [np.array(om.kraus) for om in instr.outcomes]
+        stacked = np.concatenate(kraus)
+        amplitudes = psi @ stacked.transpose(0, 2, 1)
+        # S(R) of the whole dilated state, which is S(rho); with one outcome
+        # it is bit for bit S(R|m), so iota_m is exactly 0 there
+        self.s_input = _schmidt_entropy(
+            amplitudes.transpose(1, 0, 2).reshape(d_r, -1),
+            float(np.vdot(amplitudes, amplitudes).real),
+        )
+        mapped = stacked @ rho.matrix
+        flat = stacked.reshape(len(stacked), -1)
+        # Tr(E_i rho E_j†) over every pair of Kraus operators of the instrument
+        self.exchange = mapped.reshape(flat.shape) @ flat.conj().T
+        self.output = np.zeros((d_out, d_out), dtype=complex)
+        reference = np.zeros((d_r, d_r), dtype=complex)
+        self.probs = np.zeros(n)
+        self.weights = np.zeros(n)  # probs, with excluded outcomes at zero
+        # columns S(R|m), S(Qp|m), S(App|m); rows of excluded outcomes stay 0
+        self.pure_side = np.zeros((n, 3))
+        self.state_side = np.zeros((n, 3))
+        start = 0
+        for idx, (om, ks) in enumerate(zip(instr.outcomes, kraus)):
+            block = slice(start, start + len(ks))
+            start += len(ks)
+            posterior = (mapped[block] @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+            self.output += posterior
+            t = amplitudes[block]
+            p = float(np.vdot(t, t).real)
+            self.probs[idx] = p
+            if p <= PROB_EPS:
+                continue
+            self.weights[idx] = p
+            self.pure_side[idx] = (
+                _schmidt_entropy(t.transpose(1, 0, 2).reshape(d_r, -1), p),
+                _schmidt_entropy(t.transpose(2, 0, 1).reshape(d_out, -1), p),
+                _schmidt_entropy(t.reshape(len(ks), -1), p),
             )
-        self.instr = instr
-        self.rho = rho
-        self.inp = purify(rho)
-        self.bundle = dilate(instr, self.inp)
-        self.s_input = entropy_bits(rho.matrix)
-        self.probs = self.bundle.probs
-
-    @cached_property
-    def theta_rx(self) -> LabeledState:
-        return partial_trace(self.bundle.theta_full, [REFERENCE, REGISTER])
-
-    @cached_property
-    def theta_rqx(self) -> LabeledState:
-        return partial_trace(self.bundle.theta_full, [REFERENCE, OUTPUT, REGISTER])
-
-    @cached_property
-    def theta_rax(self) -> LabeledState:
-        return partial_trace(self.bundle.theta_full, [REFERENCE, APPARATUS, REGISTER])
-
-    @cached_property
-    def theta_rq(self) -> LabeledState:
-        return partial_trace(self.bundle.theta_full, [REFERENCE, OUTPUT])
-
-    def _cond_reduced(self, idx: int, keep: list[str]) -> LabeledState:
-        cond = self.bundle.conditional_states[idx]
-        if cond is None:
-            raise ZeroProbabilityOutcome(
-                f"outcome {self.bundle.outcome_labels[idx]!r} has probability "
-                f"{self.probs[idx]:.3e}"
+            member = psi @ om.povm_element().T @ psi.conj().T
+            reference += member
+            self.state_side[idx] = (
+                entropy_bits(member / p),
+                entropy_bits(posterior / p),
+                entropy_bits(self.exchange[block, block] / p),
             )
-        return partial_trace(cond, keep)
+        self.s_reference = entropy_bits(reference)
 
     def iota_routes(self) -> tuple[float, float]:
-        """(register route, POVM-only chi route)."""
-        route_a = mutual_information(self.theta_rx, [REFERENCE], [REGISTER])
-        psi = self.inp.psi_matrix
-        ensemble = []
-        for label, element in povm_of(self.instr).elements:
-            p = float(np.trace(self.rho.matrix @ element).real)
-            if p <= PROB_EPS:
-                continue
-            cond = psi @ element.T @ psi.conj().T / p
-            ensemble.append(
-                (p, LabeledState((Subsystem(REFERENCE, self.inp.r_dim),), cond, validate=False))
-            )
-        route_b = chi_quantity(ensemble)
-        return route_a, route_b
+        """(purification route, chi route of the reference ensemble)."""
+        route_a = float(self.s_input - self.weights @ self.pure_side[:, 0])
+        route_b = float(self.s_reference - self.weights @ self.state_side[:, 0])
+        return _clip_nonneg(route_a), _clip_nonneg(route_b)
 
     def delta_routes(self) -> tuple[float, float]:
-        """(coherent-information route, reference-apparatus route)."""
-        route_a = self.s_input - coherent_information(
-            self.theta_rqx, [REFERENCE], [OUTPUT, REGISTER]
-        )
-        route_b = mutual_information(self.theta_rax, [REFERENCE], [APPARATUS, REGISTER])
-        return route_a, route_b
+        """(purification route, posterior-and-exchange route)."""
+        pure, state = self.pure_side, self.state_side
+        route_a = float(self.s_input - self.weights @ (pure[:, 1] - pure[:, 2]))
+        route_b = float(self.s_reference - self.weights @ (state[:, 1] - state[:, 2]))
+        return _clip_nonneg(route_a), _clip_nonneg(route_b)
 
     def noise_routes(self) -> tuple[float, float]:
-        """(conditional-mutual-information route, per-outcome average route)."""
-        route_a = conditional_mutual_information(
-            self.theta_rax, [REFERENCE], [APPARATUS], [REGISTER]
-        )
-        route_b = 0.0
-        for idx in range(len(self.probs)):
-            p = float(self.probs[idx])
-            if p <= PROB_EPS:
-                continue
-            route_b += p * mutual_information(
-                self._cond_reduced(idx, [REFERENCE, APPARATUS]),
-                [REFERENCE],
-                [APPARATUS],
-            )
-        return route_a, route_b
+        """(state route, purification route) of sum_m p_m I(R:App|m)."""
+        pure, state = self.pure_side, self.state_side
+        route_a = float(self.weights @ (state[:, 0] + state[:, 2] - state[:, 1]))
+        route_b = float(self.weights @ (pure[:, 0] + pure[:, 2] - pure[:, 1]))
+        return _clip_nonneg(route_a), _clip_nonneg(route_b)
 
     def disturbance_no_outcomes(self) -> float:
-        return self.s_input - coherent_information(self.theta_rq, [REFERENCE], [OUTPUT])
+        return self.s_input - entropy_bits(self.output) + entropy_bits(self.exchange)
 
     def groenewold(self) -> float:
-        value = self.s_input
-        for idx, om in enumerate(self.instr.outcomes):
-            p = float(self.probs[idx])
-            if p <= PROB_EPS:
-                continue
-            value -= p * entropy_bits(om.apply(self.rho.matrix) / p)
-        return value
+        return float(self.s_input - self.weights @ self.state_side[:, 1])
 
     def single_outcome(self, idx: int) -> tuple[float, float, float]:
-        iota_m = self.s_input - entropy_bits(self._cond_reduced(idx, [REFERENCE]).matrix)
-        delta_m = self.s_input - coherent_information(
-            self._cond_reduced(idx, [REFERENCE, OUTPUT]), [REFERENCE], [OUTPUT]
-        )
-        noise_m = mutual_information(
-            self._cond_reduced(idx, [REFERENCE, APPARATUS]), [REFERENCE], [APPARATUS]
-        )
-        return iota_m, delta_m, noise_m
+        """(iota_m, delta_m) from the purification side, noise_m from the
+        state side, so iota_m + noise_m = delta_m is a cross-check."""
+        s_r, s_q, s_a = self.pure_side[idx].tolist()
+        state_r, state_q, state_a = self.state_side[idx].tolist()
+        noise_m = _clip_nonneg(state_r + state_a - state_q)
+        return self.s_input - s_r, self.s_input - s_q + s_a, noise_m
 
 
 def _require_agree(name: str, a: float, b: float) -> None:
@@ -277,9 +275,9 @@ def _require_agree(name: str, a: float, b: float) -> None:
 def information_gain(instr: Instrument, rho: LabeledState) -> float:
     """Information gain iota in bits.
 
-    Computed both as I(R:X) of the reference-register state and as the chi
-    quantity of the POVM-induced reference ensemble; the two must agree
-    within 1e-9.  Depends on the instrument only through its POVM.
+    Computed both from the Schmidt spectra of the per-outcome purifications
+    and as the chi quantity of the POVM-induced reference ensemble; the two
+    must agree within 1e-9.  Depends on the instrument only through its POVM.
     """
     a, b = _Analysis(instr, rho).iota_routes()
     _require_agree("information gain", a, b)
@@ -325,7 +323,7 @@ def single_outcome_quantities(
     is not.  They satisfy iota_m + noise_m = delta_m.
     """
     ctx = _Analysis(instr, rho)
-    idx = ctx.instr.outcome_index(outcome)
+    idx = instr.outcome_index(outcome)
     if float(ctx.probs[idx]) <= PROB_EPS:
         raise ZeroProbabilityOutcome(
             f"outcome {outcome!r} has probability {ctx.probs[idx]:.3e}"
@@ -405,7 +403,7 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
     excluded = 0.0
     agg_iota = agg_delta = agg_noise = 0.0
     worst_single = 0.0
-    for idx, label in enumerate(ctx.instr.outcome_labels):
+    for idx, label in enumerate(instr.outcome_labels):
         p = float(ctx.probs[idx])
         if p <= PROB_EPS:
             excluded += max(p, 0.0)

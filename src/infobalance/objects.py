@@ -108,13 +108,6 @@ class Instrument:
     def outcome(self, label: str) -> OutcomeMap:
         return self.outcomes[self.outcome_index(label)]
 
-    def average(self, matrix: np.ndarray) -> np.ndarray:
-        """Action of the outcome-averaged channel sum_m E_m(.)."""
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for o in self.outcomes:
-            out += o.apply(matrix)
-        return out
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -264,13 +257,11 @@ def theta_state(instr: Instrument, rho: LabeledState) -> LabeledState:
     """
     require_valid(instr)
     _check_input_state(instr, rho)
-    n = instr.n_outcomes
-    d = instr.d_out * n
-    theta = np.zeros((d, d), dtype=complex)
+    n, d_out = instr.n_outcomes, instr.d_out
+    theta = np.zeros((d_out * n, d_out * n), dtype=complex)
+    register_blocks = theta.reshape(d_out, n, d_out, n)
     for idx, om in enumerate(instr.outcomes):
-        unit = np.zeros((n, n))
-        unit[idx, idx] = 1.0
-        theta += np.kron(om.apply(rho.matrix), unit)
+        register_blocks[:, idx, :, idx] = om.apply(rho.matrix)
     labels = (Subsystem("Qp", instr.d_out), Subsystem("X", n))
     return LabeledState(labels, theta, validate=False)
 

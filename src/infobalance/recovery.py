@@ -24,7 +24,7 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .measures import binary_entropy, disturbance
-from .objects import PROB_EPS, Instrument, purify, require_valid
+from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
 from .tensors import LabeledState, SUPPORT_CUTOFF, func_on_support
 
 
@@ -61,26 +61,34 @@ def _reprepare_kraus(rho: np.ndarray, onto: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _petz_kraus(
+    kraus: tuple[np.ndarray, ...],
+    sigma: np.ndarray,
+    rho: np.ndarray,
+    sqrt_rho: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Transpose channel of the outcome map with Kraus list ``kraus`` and
+    E_m(rho) = sigma, completed by re-preparing ``rho`` on sigma's kernel."""
+    inv_sqrt = func_on_support(sigma, lambda x: x ** -0.5)
+    recovery = [sqrt_rho @ e.conj().T @ inv_sqrt for e in kraus]
+    kernel = _kernel_basis(sigma)
+    if kernel.shape[1]:
+        recovery.extend(_reprepare_kraus(rho, kernel))
+    return tuple(recovery)
+
+
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
     """Transpose-channel recovery for one outcome, completed to trace
     preservation by re-preparing ``rho`` on the kernel of E_m(rho)."""
     require_valid(instr)
-    if rho.dim != instr.d_in:
-        raise DimensionMismatch(
-            f"state dimension {rho.dim} != instrument d_in {instr.d_in}"
-        )
+    _check_input_state(instr, rho)
     om = instr.outcome(outcome)
     sigma = om.apply(rho.matrix)
     p = float(np.trace(sigma).real)
     if p <= PROB_EPS:
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
-    inv_sqrt = func_on_support(sigma, lambda x: x ** -0.5)
     sqrt_rho = func_on_support(rho.matrix, np.sqrt)
-    kraus = [sqrt_rho @ e.conj().T @ inv_sqrt for e in om.kraus]
-    kernel = _kernel_basis(sigma)
-    if kernel.shape[1]:
-        kraus.extend(_reprepare_kraus(rho.matrix, kernel))
-    return tuple(kraus)
+    return _petz_kraus(om.kraus, sigma, rho.matrix, sqrt_rho)
 
 
 def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
@@ -90,6 +98,8 @@ def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     composite corrected channel stays trace preserving.
     """
     require_valid(instr)
+    _check_input_state(instr, rho)
+    sqrt_rho = func_on_support(rho.matrix, np.sqrt)
     labels, channels, flags = [], [], []
     for om in instr.outcomes:
         sigma = om.apply(rho.matrix)
@@ -100,7 +110,7 @@ def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
             channels.append(tuple(_reprepare_kraus(rho.matrix, onto)))
             flags.append(True)
             continue
-        kraus = petz_recovery(instr, rho, om.label)
+        kraus = _petz_kraus(om.kraus, sigma, rho.matrix, sqrt_rho)
         channels.append(kraus)
         flags.append(len(kraus) > om.multiplicity)
     return RecoveryFamily(tuple(labels), tuple(channels), tuple(flags))
@@ -129,10 +139,7 @@ def corrected_fidelity(
 ) -> float:
     """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m."""
     require_valid(instr)
-    if rho.dim != instr.d_in:
-        raise DimensionMismatch(
-            f"state dimension {rho.dim} != instrument d_in {instr.d_in}"
-        )
+    _check_input_state(instr, rho)
     composite: list[np.ndarray] = []
     for om in instr.outcomes:
         p = float(np.trace(om.apply(rho.matrix)).real)

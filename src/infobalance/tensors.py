@@ -233,8 +233,3 @@ def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
     if np.any(mask):
         fw[mask] = f(w[mask])
     return (v * fw) @ v.conj().T
-
-
-def support_projector(matrix) -> np.ndarray:
-    """Orthogonal projector onto the support (eigenvalues above 1e-10)."""
-    return func_on_support(matrix, lambda x: np.ones_like(x))

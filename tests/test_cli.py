@@ -288,3 +288,28 @@ class TestHolevo:
         run(capsys, "random", "--seed", "31", "--multiplicity", "2", "--out", str(path), "--quiet")
         code, _, _ = run(capsys, "holevo", str(path), "--trials", "40", "--seed", "2", "--quiet")
         assert code == 0
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "family:filter:abc"],
+            ["analyze", "family:projective", "--state", "diag:0.5,abc"],
+            ["sweep", "--family", "filter", "--grid", "0,x"],
+            ["holevo", "family:projective", "--trials", "-1"],
+            ["sweep", "--family", "filter", "--points", "-1"],
+            ["random", "--seed", "-1"],
+        ],
+        ids=["family-param", "diag-entry", "grid-entry", "trials", "points", "seed"],
+    )
+    def test_parse_error_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--quiet")
+        assert code == 2
+        assert err.startswith("parse error: ")
+        assert err.count("\n") == 1
+
+    def test_projective_parameter_outside_unit_interval(self, capsys):
+        code, _, err = run(capsys, "analyze", "family:projective:7", "--quiet")
+        assert code == 1
+        assert "outside [0, 1]" in err

@@ -76,3 +76,5 @@ def test_family_parameter_domain():
         ib.filter_family(1.5)
     with pytest.raises(ib.InfoBalanceError):
         ib.depolarizing(-0.1)
+    with pytest.raises(ib.InfoBalanceError):
+        ib.projective(7.0)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infobalance as ib
+from infobalance import measures
 from conftest import haar_unitary, qstate, random_density, random_state, realize_povm
 
 
@@ -351,3 +352,118 @@ class TestBalanceReport:
         assert rep.residual_balance <= 1e-9
         assert rep.iota <= rep.delta + 1e-9
         assert rep.noise >= -1e-9
+
+
+def dense_reference(instr, rho):
+    """Report values from entropies of the explicit joint state on
+    [R, Qp, App, X] and of its per-outcome conditional states."""
+    bundle = ib.dilate(instr, ib.purify(rho))
+    theta = bundle.theta_full
+    s_in = ib.von_neumann_entropy(rho)
+    rows, iota_g, excluded = [], s_in, 0.0
+    for idx, label in enumerate(instr.outcome_labels):
+        p = float(bundle.probs[idx])
+        if p <= 1e-12:
+            excluded += max(p, 0.0)
+            continue
+        r_qp = ib.reduced(bundle, ["R", "Qp"], label)
+        r_app = ib.reduced(bundle, ["R", "App"], label)
+        rows.append(
+            (
+                label,
+                p,
+                s_in - ib.von_neumann_entropy(ib.reduced(bundle, ["R"], label)),
+                s_in - ib.coherent_information(r_qp, ["R"], ["Qp"]),
+                ib.mutual_information(r_app, ["R"], ["App"]),
+            )
+        )
+        iota_g -= p * ib.von_neumann_entropy(ib.reduced(bundle, ["Qp"], label))
+    return {
+        "iota": ib.mutual_information(theta, ["R"], ["X"]),
+        "delta": s_in - ib.coherent_information(theta, ["R"], ["Qp", "X"]),
+        "noise": ib.conditional_mutual_information(theta, ["R"], ["App"], ["X"]),
+        "iota_g": iota_g,
+        "no_outcomes": s_in - ib.coherent_information(theta, ["R"], ["Qp"]),
+        "rows": rows,
+        "excluded": excluded,
+    }
+
+
+def assert_matches_dense_reference(instr, rho):
+    rep = ib.balance_report(instr, rho)
+    want = dense_reference(instr, rho)
+    for key in ("iota", "delta", "noise", "iota_g"):
+        assert getattr(rep, key) == pytest.approx(want[key], abs=1e-9), key
+    assert ib.disturbance_no_outcomes(instr, rho) == pytest.approx(
+        want["no_outcomes"], abs=1e-9
+    )
+    assert [row.label for row in rep.per_outcome] == [r[0] for r in want["rows"]]
+    for row, (_, p, iota_m, delta_m, noise_m) in zip(rep.per_outcome, want["rows"]):
+        np.testing.assert_allclose(
+            (row.p, row.iota_m, row.delta_m, row.noise_m),
+            (p, iota_m, delta_m, noise_m),
+            rtol=0,
+            atol=1e-9,
+        )
+    assert rep.excluded_weight == pytest.approx(want["excluded"], abs=1e-12)
+    assert rep.residual_balance <= 1e-9
+    assert max(rep.residual_routes.values()) <= 1e-9
+
+
+class TestDenseReference:
+    """The per-outcome engine against entropies of the explicit dilation."""
+
+    @given(st.integers(0, 10**6))
+    def test_random_instruments(self, seed):
+        rng = np.random.default_rng(seed)
+        d_in, d_out = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        n, mult = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        while d_out * n * mult < d_in:
+            mult += 1
+        instr = ib.random_instrument(seed, d_in, d_out, n, mult)
+        rank = int(rng.integers(1, d_in + 1))
+        assert_matches_dense_reference(instr, random_state(rng, d_in, rank=rank))
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_output_smaller_than_input(self, rank):
+        rng = np.random.default_rng(rank)
+        instr = ib.random_instrument(rank, 4, 2, 2, 2)
+        assert_matches_dense_reference(instr, random_state(rng, 4, rank=rank))
+
+    def test_zero_probability_outcome(self):
+        assert_matches_dense_reference(ib.filter_family(1.0), qstate([0.0, 1.0]))
+
+    @given(st.integers(0, 10**6))
+    def test_mixed_multiplicities(self, seed):
+        rng = np.random.default_rng(seed)
+        povm = ib.povm_of(ib.random_instrument(seed, 3, 3, 3, 1))
+        instr = realize_povm(povm, rng)
+        assert_matches_dense_reference(instr, random_state(rng, 3, rank=2))
+
+
+class TestRouteIndependence:
+    @pytest.mark.parametrize("helper", ["entropy_bits", "shannon_entropy"])
+    def test_one_perturbed_route_is_caught(self, monkeypatch, helper):
+        # entropy_bits serves only the state side, shannon_entropy only the
+        # purification side; a shift of one side must break the balance
+        instr = ib.random_instrument(3, 3, 2, 3, 2)
+        rho = random_state(np.random.default_rng(3), 3)
+        ib.balance_report(instr, rho)
+        exact = getattr(measures, helper)
+        monkeypatch.setattr(measures, helper, lambda m: exact(m) + 1e-6)
+        with pytest.raises(ib.NumericalInconsistency):
+            ib.balance_report(instr, rho)
+        for label in instr.outcome_labels:
+            iota_m, delta_m, noise_m = ib.single_outcome_quantities(instr, rho, label)
+            assert abs(iota_m + noise_m - delta_m) == pytest.approx(1e-6, abs=1e-9)
+
+
+class TestScale:
+    @pytest.mark.parametrize("rank", [256, 128])
+    def test_d256_report(self, rank):
+        rng = np.random.default_rng(rank)
+        instr = ib.random_instrument(rank, 256, 256, 4, 3)
+        rep = ib.balance_report(instr, random_state(rng, 256, rank=rank))
+        assert rep.residual_balance <= 1e-9
+        assert max(rep.residual_routes.values()) <= 1e-9
+        assert rep.iota <= rep.delta + 1e-9
