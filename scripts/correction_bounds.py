@@ -56,8 +56,8 @@ def main() -> None:
         )
         eps = ib.disturbance(instr, rho)
         family = ib.petz_family(instr, rho)
-        fid = ib.corrected_fidelity(instr, rho, family)
         fano = ib.fano_bound_check(instr, rho, family, delta=eps)
+        fid = fano.fidelity
         b2 = 1.0 - 2.0 * np.sqrt(max(eps, 0.0))
         b4 = 1.0 - 4.0 * np.sqrt(max(eps, 0.0))
         met2 += fid >= b2

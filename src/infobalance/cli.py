@@ -20,9 +20,9 @@ from . import __version__
 from .encodings import holevo_check
 from .errors import InfoBalanceError, ParseError
 from .families import DEFAULT_PARAMS, FAMILIES
-from .measures import BalanceReport, balance_report, disturbance
+from .measures import balance_report, disturbance
 from .objects import Instrument, purify, random_instrument, validate
-from .recovery import corrected_fidelity, fano_bound_check, petz_family
+from .recovery import fano_bound_check, petz_family
 from .serialize import (
     dumps_instrument,
     dumps_json,
@@ -81,54 +81,92 @@ def _banner(args) -> None:
         print(f"infobalance {__version__}")
 
 
-def _unit(args) -> float:
-    return math.log(2.0) if args.nats else 1.0
+#: result-document fields that carry entropies in bits; ``residual_routes``
+#: is a dict and every value in it is one
+ENTROPIC_FIELDS = frozenset(
+    {"iota", "delta", "noise", "iota_g", "residual_balance", "residual_routes",
+     "iota_m", "delta_m", "noise_m", "fano_bound", "max_classical_mi", "margin"}
+)
 
 
-def _print_report(report: BalanceReport, args) -> None:
-    u = _unit(args)
+def _in_units(doc: dict, nats: bool) -> dict:
+    """``doc`` with every entropic field converted to nats if ``nats`` is set."""
+    if not nats:
+        return doc
+    u = math.log(2.0)
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, list):
+            value = [_in_units(row, nats) for row in value]
+        elif key in ENTROPIC_FIELDS and isinstance(value, dict):
+            value = {k: v * u for k, v in value.items()}
+        elif key in ENTROPIC_FIELDS:
+            value = value * u
+        out[key] = value
+    return out
+
+
+def _csv(rows) -> str:
+    """CSV_HEADER, then one line per ``(parameter, document)`` pair."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for parameter, doc in rows:
+        writer.writerow([parameter] + [format(doc[k], ".17g") for k in CSV_HEADER[1:]])
+    return buf.getvalue()
+
+
+def _cell(key: str, value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, int):
+        return str(value)
+    if key in ("residual_balance", "excluded_weight"):
+        return f"{value:.3e}"
+    return f"{value:.6f}"
+
+
+def _emit(doc: dict, args) -> None:
+    """Print the banner and a result document in ``--format``, in ``--nats`` if set.
+
+    The table lists the scalar fields in document order, keys padded to the
+    longest key plus two (``excluded_weight`` only when positive), then the
+    per-outcome rows; ``residual_routes`` is json-only.
+    """
+    doc = _in_units(doc, args.nats)
+    _banner(args)
     if args.format == "json":
-        doc = report.to_dict()
-        for key in ("iota", "delta", "noise", "iota_g", "residual_balance"):
-            doc[key] = doc[key] * u
-        for row in doc["per_outcome"]:
-            for key in ("iota_m", "delta_m", "noise_m"):
-                row[key] = row[key] * u
-        doc["residual_routes"] = {k: v * u for k, v in doc["residual_routes"].items()}
         sys.stdout.write(dumps_json(doc))
         return
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerow(
-            [""]
-            + [
-                format(v * u, ".17g")
-                for v in (
-                    report.iota,
-                    report.delta,
-                    report.noise,
-                    report.iota_g,
-                    report.residual_balance,
-                )
-            ]
-        )
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(_csv([("", doc)]))
         return
-    print(f"{'iota':<18}{report.iota * u:.6f}")
-    print(f"{'delta':<18}{report.delta * u:.6f}")
-    print(f"{'noise':<18}{report.noise * u:.6f}")
-    print(f"{'iota_g':<18}{report.iota_g * u:.6f}")
-    print(f"{'residual_balance':<18}{report.residual_balance * u:.3e}")
-    if report.excluded_weight > 0.0:
-        print(f"{'excluded_weight':<18}{report.excluded_weight:.3e}")
-    print(f"{'outcome':<10}{'p':<12}{'iota_m':<12}{'delta_m':<12}{'noise_m':<12}")
-    for row in report.per_outcome:
-        print(
-            f"{row.label:<10}{row.p:<12.6f}{row.iota_m * u:<12.6f}"
-            f"{row.delta_m * u:<12.6f}{row.noise_m * u:<12.6f}"
-        )
+    width = max(map(len, doc)) + 2
+    for key, value in doc.items():
+        if isinstance(value, (dict, list)):
+            continue
+        if key == "excluded_weight" and not value > 0.0:
+            continue
+        print(f"{key:<{width}}{_cell(key, value)}")
+    if "per_outcome" in doc:
+        print(f"{'outcome':<10}{'p':<12}{'iota_m':<12}{'delta_m':<12}{'noise_m':<12}")
+        for row in doc["per_outcome"]:
+            print(
+                f"{row['label']:<10}{row['p']:<12.6f}{row['iota_m']:<12.6f}"
+                f"{row['delta_m']:<12.6f}{row['noise_m']:<12.6f}"
+            )
+
+
+def _write_out(args, text: str, what: str) -> None:
+    """Write ``text`` to ``--out`` and say so, or to stdout; banner first."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _banner(args)
+        print(f"wrote {what} to {args.out}")
+    else:
+        _banner(args)
+        sys.stdout.write(text)
 
 
 def cmd_validate(args) -> int:
@@ -153,9 +191,7 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     instr = _load_instrument(args.instrument)
     rho = _load_state(args.state, instr.d_in)
-    report = balance_report(instr, rho)
-    _banner(args)
-    _print_report(report, args)
+    _emit(balance_report(instr, rho).to_dict(), args)
     return 0
 
 
@@ -171,34 +207,13 @@ def cmd_sweep(args) -> int:
         grid = list(np.linspace(0.0, 1.0, args.points))
     if not grid:
         raise InfoBalanceError("empty parameter grid")
-    u = _unit(args)
     rows = []
     for t in grid:
         instr = family(t)
         rho = _load_state(args.state, instr.d_in)
         report = balance_report(instr, rho)
-        rows.append(
-            [
-                format(t, ".17g"),
-                format(report.iota * u, ".17g"),
-                format(report.delta * u, ".17g"),
-                format(report.noise * u, ".17g"),
-                format(report.iota_g * u, ".17g"),
-                format(report.residual_balance * u, ".17g"),
-            ]
-        )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-        _banner(args)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        _banner(args)
-        sys.stdout.write(buf.getvalue())
+        rows.append((format(t, ".17g"), _in_units(report.to_dict(), args.nats)))
+    _write_out(args, _csv(rows), f"{len(rows)} rows")
     return 0
 
 
@@ -206,39 +221,22 @@ def cmd_recover(args) -> int:
     instr = _load_instrument(args.instrument)
     rho = _load_state(args.state, instr.d_in)
     delta = disturbance(instr, rho)
-    family = petz_family(instr, rho)
-    fidelity = corrected_fidelity(instr, rho, family)
-    fano = fano_bound_check(instr, rho, family, delta=delta)
+    fano = fano_bound_check(instr, rho, petz_family(instr, rho), delta=delta)
     eps = max(delta, 0.0)
     bound2 = 1.0 - 2.0 * math.sqrt(eps)
     bound4 = 1.0 - 4.0 * math.sqrt(eps)
-    meets4 = fidelity >= bound4 - 1e-9
-    u = _unit(args)
-    _banner(args)
-    if args.format == "json":
-        sys.stdout.write(
-            dumps_json(
-                {
-                    "delta": delta * u,
-                    "corrected_fidelity": fidelity,
-                    "bound_2sqrt": bound2,
-                    "bound_4sqrt": bound4,
-                    "meets_2sqrt": bool(fidelity >= bound2 - 1e-9),
-                    "meets_4sqrt": bool(meets4),
-                    "fano_bound": fano.bound * u,
-                    "fano_holds": bool(fano.holds),
-                }
-            )
-        )
-    else:
-        print(f"{'delta':<20}{delta * u:.6f}")
-        print(f"{'corrected_fidelity':<20}{fidelity:.6f}")
-        print(f"{'bound_2sqrt':<20}{bound2:.6f}")
-        print(f"{'bound_4sqrt':<20}{bound4:.6f}")
-        print(f"{'meets_2sqrt':<20}{'yes' if fidelity >= bound2 - 1e-9 else 'no'}")
-        print(f"{'meets_4sqrt':<20}{'yes' if meets4 else 'no'}")
-        print(f"{'fano_bound':<20}{fano.bound * u:.6f}")
-        print(f"{'fano_holds':<20}{'yes' if fano.holds else 'no'}")
+    meets4 = fano.fidelity >= bound4 - 1e-9
+    doc = {
+        "delta": delta,
+        "corrected_fidelity": fano.fidelity,
+        "bound_2sqrt": bound2,
+        "bound_4sqrt": bound4,
+        "meets_2sqrt": bool(fano.fidelity >= bound2 - 1e-9),
+        "meets_4sqrt": bool(meets4),
+        "fano_bound": fano.bound,
+        "fano_holds": bool(fano.holds),
+    }
+    _emit(doc, args)
     if not meets4 or not fano.holds:
         return 1
     return 0
@@ -248,15 +246,7 @@ def cmd_random(args) -> int:
     instr = random_instrument(
         args.seed, args.d_in, args.d_out, args.outcomes, args.multiplicity
     )
-    text = dumps_instrument(instr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _banner(args)
-        print(f"wrote instrument to {args.out}")
-    else:
-        _banner(args)
-        sys.stdout.write(text)
+    _write_out(args, dumps_instrument(instr), "instrument")
     return 0
 
 
@@ -264,35 +254,27 @@ def cmd_holevo(args) -> int:
     instr = _load_instrument(args.instrument)
     rho = _load_state(args.state, instr.d_in)
     report = holevo_check(purify(rho), instr, args.trials, args.seed)
-    u = _unit(args)
-    _banner(args)
-    if args.format == "json":
-        doc = report.to_dict()
-        doc["iota"] *= u
-        doc["max_classical_mi"] *= u
-        doc["margin"] *= u
-        sys.stdout.write(dumps_json(doc))
-    else:
-        print(f"{'iota':<18}{report.iota * u:.6f}")
-        print(f"{'max_classical_mi':<18}{report.max_classical_mi * u:.6f}")
-        print(f"{'margin':<18}{report.margin * u:.6f}")
-        print(f"{'n_trials':<18}{report.n_trials}")
-        print(f"{'seed':<18}{report.seed}")
+    _emit(report.to_dict(), args)
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--state",
-        default="maximally-mixed",
-        help="input state: 'maximally-mixed', 'diag:p[,..]', or a state file",
-    )
-    sub.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    sub.add_argument("--seed", type=int, default=0)
+def _add_shared(sub, *, state=False, formats=(), seed=False, nats=False) -> None:
+    """Add ``--quiet`` and those shared flags the subcommand reads."""
+    if state:
+        sub.add_argument(
+            "--state",
+            default="maximally-mixed",
+            help="input state: 'maximally-mixed', 'diag:p[,..]', or a state file",
+        )
+    if formats:
+        sub.add_argument("--format", choices=formats, default="table")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--quiet", action="store_true", help="suppress version banner")
-    sub.add_argument(
-        "--nats", action="store_true", help="present entropic values in nats"
-    )
+    if nats:
+        sub.add_argument(
+            "--nats", action="store_true", help="present entropic values in nats"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check an instrument file")
     p.add_argument("file")
-    _add_common(p)
+    _add_shared(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="balance report for an instrument")
     p.add_argument("instrument", help="instrument file or family:NAME[:PARAM]")
-    _add_common(p)
+    _add_shared(p, state=True, formats=("json", "table", "csv"), nats=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="tradeoff curve over a parameter grid")
@@ -317,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma-separated parameters in [0, 1]")
     p.add_argument("--points", type=int, default=11, help="linspace size if no grid")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
-    _add_common(p)
+    _add_shared(p, state=True, nats=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("recover", help="Petz recovery and fidelity bounds")
     p.add_argument("instrument", help="instrument file or family:NAME[:PARAM]")
-    _add_common(p)
+    _add_shared(p, state=True, formats=("json", "table"), nats=True)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("random", help="generate a Haar-random instrument")
@@ -331,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcomes", type=int, default=2)
     p.add_argument("--multiplicity", type=int, default=1)
     p.add_argument("--out", help="output path (stdout if omitted)")
-    _add_common(p)
+    _add_shared(p, seed=True)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("holevo", help="randomized Holevo-bound sweep")
     p.add_argument("instrument", help="instrument file or family:NAME[:PARAM]")
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
+    _add_shared(p, state=True, formats=("json", "table"), seed=True, nats=True)
     p.set_defaults(func=cmd_holevo)
 
     return parser

@@ -73,14 +73,16 @@ def ensemble_from_reference_povm(inp: PurifiedInput, povm_r: Povm) -> Encoding:
 def joint_distribution(enc: Encoding, instr: Instrument) -> np.ndarray:
     """p(x, m) = Tr[E_m(rho_x)] as an (alphabet x outcomes) array."""
     require_valid(instr)
-    joint = np.zeros((len(enc.parts), instr.n_outcomes))
-    for xi, part in enumerate(enc.parts):
-        if part.shape != (instr.d_in, instr.d_in):
-            raise DimensionMismatch(
-                f"letter state shape {part.shape} != ({instr.d_in}, {instr.d_in})"
-            )
-        for mi, om in enumerate(instr.outcomes):
-            joint[xi, mi] = float(np.trace(om.apply(part)).real)
+    return _joint_table(enc, np.stack([om.povm_element() for om in instr.outcomes]))
+
+
+def _joint_table(enc: Encoding, elements: np.ndarray) -> np.ndarray:
+    """p(x, m) = Tr(rho_x P_m) for the letter states and the stacked POVM elements."""
+    d = elements.shape[-1]
+    for part in enc.parts:
+        if part.shape != (d, d):
+            raise DimensionMismatch(f"letter state shape {part.shape} != ({d}, {d})")
+    joint = np.einsum("xij,mji->xm", np.reshape(enc.parts, (-1, d, d)), elements).real
     total = float(joint.sum())
     if abs(total - 1.0) > 1e-9 or float(joint.min()) < -1e-9:
         raise NumericalInconsistency(
@@ -161,12 +163,13 @@ def holevo_check(
     :class:`NumericalInconsistency` if any trial exceeds iota + 1e-9.
     """
     iota = information_gain(instr, inp.rho)
+    elements = np.stack([om.povm_element() for om in instr.outcomes])
     best = 0.0
     for child in np.random.SeedSequence(rng_seed).spawn(n_trials):
         rng = np.random.default_rng(child)
         povm = random_reference_povm(rng, inp.r_dim)
         enc = ensemble_from_reference_povm(inp, povm)
-        mi = classical_mutual_information(joint_distribution(enc, instr))
+        mi = classical_mutual_information(_joint_table(enc, elements))
         if mi > iota + HOLEVO_ATOL:
             raise NumericalInconsistency(
                 f"Holevo bound violated: I(X:M) = {mi!r} > iota = {iota!r}"

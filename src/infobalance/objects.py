@@ -332,6 +332,11 @@ def random_instrument(
 
     Deterministic for a fixed seed; the output always validates.
     """
+    if min(d_in, d_out, n_outcomes, multiplicity) < 1:
+        raise DimensionTooSmall(
+            f"d_in, d_out, n_outcomes and multiplicity must be >= 1, got "
+            f"{d_in}, {d_out}, {n_outcomes}, {multiplicity}"
+        )
     if d_out * n_outcomes * multiplicity < d_in:
         raise DimensionTooSmall(
             f"d_out*n_outcomes*multiplicity = {d_out * n_outcomes * multiplicity} "

@@ -237,6 +237,19 @@ class TestRandom:
         assert code == 0
         assert abs(json.loads(out)["noise"]) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [["--d-in", "0"], ["--outcomes", "-1", "--d-out", "-2"], ["--d-in", "-1"]],
+        ids=["d-in-zero", "negative-outcomes-and-d-out", "negative-d-in"],
+    )
+    def test_nonpositive_size_exits_1_without_file(self, capsys, tmp_path, sizes):
+        path = tmp_path / "r.json"
+        code, out, err = run(capsys, "random", *sizes, "--out", str(path), "--quiet")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
     def test_infeasible_dims(self, capsys):
         code, _, err = run(
             capsys, "random", "--d-in", "9", "--d-out", "2", "--outcomes", "2",
@@ -313,3 +326,68 @@ class TestMalformedInput:
         code, _, err = run(capsys, "analyze", "family:projective:7", "--quiet")
         assert code == 1
         assert "outside [0, 1]" in err
+
+
+#: json fields that carry entropies; every value under residual_routes is one too
+ENTROPIC_JSON_FIELDS = {
+    "iota", "delta", "noise", "iota_g", "residual_balance", "iota_m", "delta_m",
+    "noise_m", "fano_bound", "max_classical_mi", "margin", "residual_routes",
+}
+
+
+def assert_nats_of(bits, nats, key=None):
+    """Entropic fields are bits * ln 2 in ``nats``; every other field is unchanged."""
+    if isinstance(bits, dict):
+        assert bits.keys() == nats.keys()
+        for k in bits:
+            assert_nats_of(bits[k], nats[k], key if key == "residual_routes" else k)
+    elif isinstance(bits, list):
+        assert len(bits) == len(nats)
+        for b, n in zip(bits, nats):
+            assert_nats_of(b, n, key)
+    elif key in ENTROPIC_JSON_FIELDS:
+        assert nats == pytest.approx(bits * math.log(2.0), rel=1e-15, abs=0.0)
+    else:
+        assert nats == bits
+
+
+class TestOutputLayer:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "family:filter", "--state", "diag:0.7"],
+            ["recover", "family:filter", "--state", "diag:0.7"],
+            ["holevo", "family:filter", "--state", "diag:0.7", "--trials", "5"],
+        ],
+        ids=["analyze", "recover", "holevo"],
+    )
+    def test_nats_scales_exactly_the_entropic_fields(self, capsys, argv):
+        _, bits, _ = run(capsys, *argv, "--format", "json", "--quiet")
+        _, nats, _ = run(capsys, *argv, "--format", "json", "--quiet", "--nats")
+        bits, nats = json.loads(bits), json.loads(nats)
+        assert any(bits.get(k, 0.0) > 0.1 for k in ("iota", "delta"))
+        assert_nats_of(bits, nats)
+
+    def test_excluded_weight_precedes_outcome_table(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "family:filter:1", "--state", "diag:1e-13", "--quiet"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("outcome "))
+        assert lines[header - 1] == "excluded_weight   1.000e-13"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover", "family:projective", "--format", "csv"],
+            ["holevo", "family:projective", "--format", "csv"],
+            ["analyze", "family:projective", "--seed", "1"],
+            ["validate", "instrument.json", "--nats"],
+        ],
+        ids=["recover-csv", "holevo-csv", "analyze-seed", "validate-nats"],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

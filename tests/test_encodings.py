@@ -88,6 +88,12 @@ class TestJointDistribution:
                 dual[xi, mi] = float(np.trace(weighted @ p_x).real)
         np.testing.assert_allclose(joint, dual, atol=1e-10)
 
+    def test_letter_dimension_mismatch(self):
+        inp = ib.purify(qstate([0.5, 0.3, 0.2]))
+        enc = ib.ensemble_from_reference_povm(inp, projective_reference_povm(3))
+        with pytest.raises(ib.DimensionMismatch):
+            ib.joint_distribution(enc, ib.projective())
+
     @given(st.integers(0, 10**6))
     def test_marginal_matches_outcome_probability(self, seed):
         rng = np.random.default_rng(seed)
@@ -180,6 +186,19 @@ class TestHolevoCheck:
         a = ib.holevo_check(inp, instr, 20, 99)
         b = ib.holevo_check(inp, instr, 20, 99)
         assert a.max_classical_mi == b.max_classical_mi
+
+    def test_validation_count_does_not_grow_with_trials(self, monkeypatch):
+        calls = []
+        real = ib.objects.validate
+        monkeypatch.setattr(ib.objects, "validate", lambda i: calls.append(i) or real(i))
+        instr = ib.random_instrument(8, 2, 3, 3, 2)
+        inp = ib.purify(qstate([0.6, 0.4]))
+        counts = []
+        for trials in (5, 50):
+            calls.clear()
+            ib.holevo_check(inp, instr, trials, 1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @given(st.integers(0, 10**6))
     def test_bound_on_random_pairs(self, seed):

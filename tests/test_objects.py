@@ -236,6 +236,14 @@ class TestRandomInstrument:
         with pytest.raises(ib.DimensionTooSmall):
             ib.random_instrument(0, 5, 2, 2, 1)
 
+    @pytest.mark.parametrize(
+        "sizes", [(0, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 1), (2, 2, 2, 0), (-1, 2, 2, 1),
+                  (2, -2, -1, 1)]
+    )
+    def test_nonpositive_size(self, sizes):
+        with pytest.raises(ib.DimensionTooSmall):
+            ib.random_instrument(0, *sizes)
+
     @given(st.integers(0, 10**6))
     def test_povm_of_random_is_valid(self, seed):
         rng = np.random.default_rng(seed)
