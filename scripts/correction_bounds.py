@@ -25,12 +25,8 @@ def weak_instrument(rng, d, n_out, eta):
     tilted = [h - avg for h in hs]
     scale = max(np.max(np.abs(np.linalg.eigvalsh(t))) for t in tilted)
     eta = min(eta, 0.5 / max(scale, 1e-12))
-    outcomes = []
-    for m in range(n_out):
-        root = ib.func_on_support(q[m] * (np.eye(d) + eta * tilted[m]), np.sqrt)
-        u = ib.haar_isometry(rng, d, d)
-        outcomes.append(ib.OutcomeMap(str(m), (u @ root,)))
-    return ib.Instrument(d, d, tuple(outcomes))
+    unitaries = [ib.haar_isometry(rng, d, d) for _ in range(n_out)]
+    return ib.near_trivial(q, tilted, unitaries, eta)
 
 
 def main() -> None:

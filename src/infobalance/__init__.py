@@ -109,6 +109,7 @@ from .families import (
     depolarizing,
     filter_family,
     measure_and_reprepare,
+    near_trivial,
     partial_dephasing,
     projective,
 )

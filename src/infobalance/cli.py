@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, analyze, sweep, recover, random, holevo.  Exit codes:
-0 success/pass, 1 domain failure, 2 I/O or parse failure.  All output is
-deterministic given flags and seeds; the version banner on stdout is
-suppressed by --quiet.
+0 success/pass, 1 domain failure or out of memory, 2 I/O or parse failure.
+All output is deterministic given flags and seeds; the version banner on
+stdout is suppressed by --quiet.
 """
 
 from __future__ import annotations
@@ -49,16 +49,20 @@ def _number(text: str, what: str) -> float:
         raise ParseError(f"{what}: {text!r} is not a number") from None
 
 
+def _family(name: str):
+    """The built-in family called ``name``."""
+    if name not in FAMILIES:
+        raise InfoBalanceError(f"unknown family {name!r}; built-ins: {sorted(FAMILIES)}")
+    return FAMILIES[name]
+
+
 def _load_instrument(arg: str, check: bool = True) -> Instrument:
     if arg.startswith("family:"):
         rest = arg[len("family:"):]
         name, _, param = rest.partition(":")
-        if name not in FAMILIES:
-            raise InfoBalanceError(
-                f"unknown family {name!r}; built-ins: {sorted(FAMILIES)}"
-            )
+        family = _family(name)
         t = _number(param, "family parameter") if param else DEFAULT_PARAMS[name]
-        return FAMILIES[name](t)
+        return family(t)
     return loads_instrument(_read_text(arg), validate_invariants=check)
 
 
@@ -196,22 +200,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.family not in FAMILIES:
-        raise InfoBalanceError(
-            f"unknown family {args.family!r}; built-ins: {sorted(FAMILIES)}"
-        )
-    family = FAMILIES[args.family]
+    family = _family(args.family)
     if args.grid:
         grid = [_number(v, "--grid") for v in args.grid.split(",") if v]
     else:
         grid = list(np.linspace(0.0, 1.0, args.points))
     if not grid:
         raise InfoBalanceError("empty parameter grid")
+    # a family's d_in does not depend on its parameter
+    rho = _load_state(args.state, family(grid[0]).d_in)
     rows = []
     for t in grid:
-        instr = family(t)
-        rho = _load_state(args.state, instr.d_in)
-        report = balance_report(instr, rho)
+        report = balance_report(family(t), rho)
         rows.append((format(t, ".17g"), _in_units(report.to_dict(), args.nats)))
     _write_out(args, _csv(rows), f"{len(rows)} rows")
     return 0
@@ -341,6 +341,9 @@ def main(argv=None) -> int:
         return 2
     except InfoBalanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,9 @@ Each family exercises a distinct regime of the information balance:
                          noise Delta > 0 and a negative Groenewold gain.
 * ``projective``         rank-1 projective qubit measurement in a basis
                          rotated by t * pi/4.
+
+``near_trivial`` builds the weak, nearly reversible measurements that the
+correction experiments and tests perturb; it is not a one-parameter family.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from .errors import InfoBalanceError
 from .objects import Instrument, OutcomeMap
+from .tensors import func_on_support
 
 
 def _check_unit(name: str, t: float) -> None:
@@ -105,6 +109,31 @@ def measure_and_reprepare() -> Instrument:
             kraus.append(op)
         outcomes.append(OutcomeMap(str(m), tuple(kraus)))
     return Instrument(2, 2, tuple(outcomes))
+
+
+def near_trivial(q, tilted, unitaries, eta: float, extra=None) -> Instrument:
+    """Weak measurement whose POVM is q_m * (1 + eta * tilted_m).
+
+    Outcome m applies ``unitaries[m]`` after the square root of its POVM
+    element; with ``extra``, a second Kraus operator ``extra[m]`` of weight
+    eta² is mixed in.  The disturbance shrinks like eta² as the perturbation
+    is turned off.  ``tilted`` must be Hermitian and keep every element PSD.
+    """
+    d = tilted[0].shape[0]
+    outcomes = []
+    for m in range(len(q)):
+        element = q[m] * (np.eye(d) + eta * tilted[m])
+        root = func_on_support(element, np.sqrt)
+        if extra is not None:
+            nu = eta * eta
+            kraus = (
+                np.sqrt(1 - nu) * unitaries[m] @ root,
+                np.sqrt(nu) * extra[m] @ root,
+            )
+        else:
+            kraus = (unitaries[m] @ root,)
+        outcomes.append(OutcomeMap(str(m), kraus))
+    return Instrument(d, d, tuple(outcomes))
 
 
 FAMILIES = {

@@ -202,13 +202,28 @@ class Povm:
 
 def check_povm(povm: Povm, atol: float = TP_ATOL) -> None:
     """Raise :class:`InvalidPovm` unless elements are PSD and complete."""
-    total = np.zeros((povm.d, povm.d), dtype=complex)
-    for label, m in povm.elements:
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if float(w[0]) < -atol:
-            raise InvalidPovm(f"element {label!r} has eigenvalue {w[0]:.3e}")
-        total += m
-    dev = float(np.max(np.abs(total - np.eye(povm.d))))
+    stack = np.reshape([m for _, m in povm.elements], (-1, povm.d, povm.d))
+    _check_povm_stack(stack, povm.labels, atol)
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of each matrix in a stack ``(..., d, d)``."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
+    """:func:`check_povm` on elements stacked as ``(..., k, d, d)``.
+
+    Leading axes hold independent POVMs sharing ``labels``.  Every element
+    is tested for positivity, the first failure in C order being reported,
+    before completeness, where the largest deviation is reported.
+    """
+    low = np.linalg.eigvalsh(_hermitian(stack))[..., 0]
+    bad = np.argwhere(low < -atol)
+    if bad.size:
+        index = tuple(bad[0])
+        raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
+    dev = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))))
     if dev > atol:
         raise InvalidPovm(f"completeness violated: max |sum P - 1| = {dev:.3e}")
 

@@ -50,26 +50,6 @@ def realize_povm(povm, rng, max_mult=3):
     return ib.Instrument(d, d, tuple(outcomes))
 
 
-def near_trivial_instrument(q, tilted, unitaries, eta, extra=None):
-    """Instrument whose POVM is q_m * (1 + eta * tilted_m); disturbance
-    shrinks like eta^2 as the perturbation is turned off."""
-    d = tilted[0].shape[0]
-    outcomes = []
-    for m in range(len(q)):
-        element = q[m] * (np.eye(d) + eta * tilted[m])
-        root = ib.func_on_support(element, np.sqrt)
-        if extra is not None:
-            nu = eta * eta
-            kraus = (
-                np.sqrt(1 - nu) * unitaries[m] @ root,
-                np.sqrt(nu) * extra[m] @ root,
-            )
-        else:
-            kraus = (unitaries[m] @ root,)
-        outcomes.append(ib.OutcomeMap(str(m), kraus))
-    return ib.Instrument(d, d, tuple(outcomes))
-
-
 def perturbed_reversible(rng, d, n_out, target_eps, second_kraus=False):
     """Instrument with measured disturbance in [1e-6, 1e-2] near target_eps,
     found by rescaling the perturbation strength of one fixed random draw."""
@@ -85,7 +65,7 @@ def perturbed_reversible(rng, d, n_out, target_eps, second_kraus=False):
 
     eta = min(0.05, eta_max)
     for attempt in range(25):
-        instr = near_trivial_instrument(q, tilted, unitaries, eta, extra)
+        instr = ib.near_trivial(q, tilted, unitaries, eta, extra)
         eps = ib.disturbance(instr, rho)
         in_window = 1e-6 <= eps <= 1e-2
         near_target = 0.25 <= eps / target_eps <= 4.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import infobalance as ib
+from infobalance import cli
 from infobalance.cli import main
 
 
@@ -181,6 +182,23 @@ class TestSweep:
         assert code == 1
         assert "unknown family" in err
 
+    def test_unknown_family_message_matches_analyze(self, capsys):
+        _, _, sweep_err = run(capsys, "sweep", "--family", "nope", "--quiet")
+        _, _, analyze_err = run(capsys, "analyze", "family:nope", "--quiet")
+        assert sweep_err.startswith("error: unknown family 'nope'")
+        assert sweep_err == analyze_err
+
+    def test_state_file_read_once(self, capsys, monkeypatch, fixtures_dir):
+        reads = []
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or read_text(path))
+        state = str(fixtures_dir / "mixed_qubit.json")
+        argv = ["sweep", "--family", "filter", "--points", "21", "--quiet", "--state"]
+        code, from_file, _ = run(capsys, *argv, state)
+        assert code == 0 and reads == [state]
+        _, from_diag, _ = run(capsys, *argv, "diag:0.5,0.5")
+        assert from_file == from_diag
+
     def test_deterministic_bytes(self, capsys):
         _, a, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")
         _, b, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")
@@ -301,6 +319,30 @@ class TestHolevo:
         run(capsys, "random", "--seed", "31", "--multiplicity", "2", "--out", str(path), "--quiet")
         code, _, _ = run(capsys, "holevo", str(path), "--trials", "40", "--seed", "2", "--quiet")
         assert code == 0
+
+
+class TestOutOfMemory:
+    def test_random_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "random_instrument", no_memory)
+        path = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "random", "--d-in", "1000000", "--d-out", "1000000", "--out", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
+        assert not path.exists()
+
+    def test_holevo(self, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "holevo_check", no_memory)
+        code, out, err = run(capsys, "holevo", "family:projective")
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: allocation failed\n"
 
 
 class TestMalformedInput:

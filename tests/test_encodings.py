@@ -108,6 +108,18 @@ class TestJointDistribution:
             )
 
 
+def classical_mi_double_loop(p):
+    """I(X:M) cell by cell, skipping cells at or below PROB_EPS."""
+    p = np.clip(p, 0.0, None)
+    px, pm = p.sum(axis=1), p.sum(axis=0)
+    value = 0.0
+    for xi in range(p.shape[0]):
+        for mi in range(p.shape[1]):
+            if p[xi, mi] > ib.objects.PROB_EPS:
+                value += p[xi, mi] * np.log2(p[xi, mi] / (px[xi] * pm[mi]))
+    return 0.0 if -1e-9 <= value < 0.0 else value
+
+
 class TestClassicalMutualInformation:
     def test_product_distribution(self):
         p = np.outer([0.3, 0.7], [0.6, 0.4])
@@ -130,6 +142,33 @@ class TestClassicalMutualInformation:
         with pytest.raises(ib.BadDistribution):
             ib.classical_mutual_information(np.array([[0.7, 0.7]]))
 
+    def test_matches_double_loop(self):
+        rng = np.random.default_rng(9)
+        zero_cells = rng.random((3, 4))
+        zero_cells[0, 1] = zero_cells[2, 3] = 0.0
+        zero_cells[1, 2] = 1e-13 * zero_cells.sum()
+        zero_row = rng.random((4, 3))
+        zero_row[1] = 0.0
+        for p in (zero_cells, zero_row, rng.random((1, 5)), rng.random((6, 7))):
+            p = p / p.sum()
+            assert ib.classical_mutual_information(p) == pytest.approx(
+                classical_mi_double_loop(p), abs=1e-15
+            )
+
+
+def per_element_reference_povm(rng, dim):
+    """The reference POVM draw written one element at a time."""
+    k = dim + 1
+    raws = []
+    for _ in range(k):
+        g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        g /= np.linalg.norm(g)
+        raws.append(rng.uniform(0.2, 1.0) * np.outer(g, g.conj()))
+    total = np.sum(raws, axis=0)
+    top = float(np.linalg.eigvalsh((total + total.conj().T) / 2.0)[-1])
+    scale = rng.uniform(0.2, 0.95) / top
+    return [scale * raw for raw in raws] + [np.eye(dim) - scale * total]
+
 
 class TestRandomReferencePovm:
     @given(st.integers(0, 10**6), st.integers(1, 4))
@@ -137,6 +176,15 @@ class TestRandomReferencePovm:
         povm = ib.random_reference_povm(np.random.default_rng(seed), d)
         ib.check_povm(povm)
         assert len(povm.elements) == d + 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_per_element_draws(self, d):
+        for seed in range(50):
+            povm = ib.random_reference_povm(np.random.default_rng(seed), d)
+            expected = per_element_reference_povm(np.random.default_rng(seed), d)
+            assert povm.labels == tuple(str(i) for i in range(d + 2))
+            for (_, element), ref in zip(povm.elements, expected):
+                np.testing.assert_allclose(element, ref, rtol=0, atol=1e-15)
 
 
 class TestHolevoCheck:
@@ -199,6 +247,32 @@ class TestHolevoCheck:
             ib.holevo_check(inp, instr, trials, 1)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("d", [2, 10, 13])
+    def test_block_size_does_not_change_report(self, monkeypatch, d):
+        instr = ib.random_instrument(d, d, 4, 2, 2)
+        inp = ib.purify(random_state(np.random.default_rng(d), d))
+        blocked = ib.holevo_check(inp, instr, 29, 5)
+        monkeypatch.setattr(ib.encodings, "_BLOCK_BYTES", 1)
+        one_by_one = ib.holevo_check(inp, instr, 29, 5)
+        assert one_by_one.to_dict() == blocked.to_dict()
+
+    # max_classical_mi of the loop that built and scored one trial at a time
+    @pytest.mark.parametrize(
+        "instr, diag, seed, trials, recorded",
+        [
+            (lambda: ib.random_instrument(8, 2, 3, 3, 2), [0.6, 0.4], 7, 37,
+             0.12859304418821),
+            (lambda: ib.random_instrument(21, 5, 4, 3, 2), [0.4, 0.3, 0.2, 0.1, 0.0], 3,
+             29, 0.060494748960245565),
+            (lambda: ib.filter_family(2.0 / 3.0), [0.5, 0.5], 11, 50,
+             0.26242174329833656),
+        ],
+        ids=["random-d2", "random-d5-rank4", "filter"],
+    )
+    def test_recorded_maximum(self, instr, diag, seed, trials, recorded):
+        report = ib.holevo_check(ib.purify(qstate(diag)), instr(), trials, seed)
+        assert report.max_classical_mi == pytest.approx(recorded, abs=1e-12)
 
     @given(st.integers(0, 10**6))
     def test_bound_on_random_pairs(self, seed):

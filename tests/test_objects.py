@@ -257,6 +257,26 @@ class TestRandomInstrument:
         ib.check_povm(povm)
 
 
+class TestCheckPovm:
+    def test_negative_element_is_named(self):
+        negative = np.diag([0.5, -0.1]).astype(complex)
+        povm = ib.Povm(2, (("a", np.eye(2) - negative), ("b", negative)))
+        with pytest.raises(ib.InvalidPovm, match=r"^element 'b' has eigenvalue -1\.000e-01$"):
+            ib.check_povm(povm)
+
+    def test_incomplete(self):
+        povm = ib.Povm(2, (("a", 0.5 * np.eye(2)),))
+        with pytest.raises(ib.InvalidPovm, match=r"completeness violated: .* = 5\.000e-01$"):
+            ib.check_povm(povm)
+
+    def test_stacked_povms_report_the_first_failure(self):
+        negative = np.diag([0.5, -0.1])
+        second_bad = np.stack([np.eye(2) - negative, negative])
+        first_bad = np.stack([2 * negative, np.eye(2) - 2 * negative])
+        with pytest.raises(ib.InvalidPovm, match=r"^element 'b' has eigenvalue -1\.000e-01$"):
+            ib.objects._check_povm_stack(np.stack([second_bad, first_bad]), ("a", "b"))
+
+
 class TestUnitaryCompletion:
     def test_square_unitary_unchanged(self):
         u = ib.haar_isometry(np.random.default_rng(6), 3, 3)
