@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -237,9 +238,7 @@ def cmd_recover(args) -> int:
         "fano_holds": bool(fano.holds),
     }
     _emit(doc, args)
-    if not meets4 or not fano.holds:
-        return 1
-    return 0
+    return 0 if meets4 and fano.holds else 1
 
 
 def cmd_random(args) -> int:
@@ -277,6 +276,11 @@ def _add_shared(sub, *, state=False, formats=(), seed=False, nats=False) -> None
         )
 
 
+#: subcommand -> handler; ``main`` dispatches through this dict
+COMMANDS = {"validate": cmd_validate, "analyze": cmd_analyze, "sweep": cmd_sweep,
+            "recover": cmd_recover, "random": cmd_random, "holevo": cmd_holevo}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infobalance",
@@ -287,12 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check an instrument file")
     p.add_argument("file")
     _add_shared(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="balance report for an instrument")
     p.add_argument("instrument", help="instrument file or family:NAME[:PARAM]")
     _add_shared(p, state=True, formats=("json", "table", "csv"), nats=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="tradeoff curve over a parameter grid")
     p.add_argument("--family", required=True, help=f"one of {sorted(FAMILIES)}")
@@ -300,12 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=11, help="linspace size if no grid")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     _add_shared(p, state=True, nats=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("recover", help="Petz recovery and fidelity bounds")
     p.add_argument("instrument", help="instrument file or family:NAME[:PARAM]")
     _add_shared(p, state=True, formats=("json", "table"), nats=True)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("random", help="generate a Haar-random instrument")
     p.add_argument("--d-in", type=int, default=2)
@@ -314,25 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplicity", type=int, default=1)
     p.add_argument("--out", help="output path (stdout if omitted)")
     _add_shared(p, seed=True)
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("holevo", help="randomized Holevo-bound sweep")
     p.add_argument("instrument", help="instrument file or family:NAME[:PARAM]")
     p.add_argument("--trials", type=int, default=100)
     _add_shared(p, state=True, formats=("json", "table"), seed=True, nats=True)
-    p.set_defaults(func=cmd_holevo)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag in ("seed", "trials", "points"):
             value = getattr(args, flag, 0)
             if value < 0:
                 raise ParseError(f"--{flag} must be nonnegative, got {value}")
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

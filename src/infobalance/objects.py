@@ -121,7 +121,7 @@ class ValidationReport:
 
 
 def validate(instr: Instrument) -> ValidationReport:
-    """Check dimensions, per-outcome CP trace-nonincrease, and global TP.
+    """Check dimensions, finite entries, per-outcome CP trace-nonincrease, global TP.
 
     Never raises; all failures are carried in the report.
     """
@@ -141,8 +141,10 @@ def validate(instr: Instrument) -> ValidationReport:
                     f"dimensions: outcome {o.label!r} Kraus {j} has shape "
                     f"{e.shape}, expected ({instr.d_out}, {instr.d_in})"
                 )
-    if not dims_ok:
-        return ValidationReport(False, float("inf"), False, {}, tuple(issues))
+            elif not np.isfinite(e).all():
+                issues.append(f"non-finite entries: outcome {o.label!r} Kraus {j}")
+    if issues:
+        return ValidationReport(False, float("inf"), dims_ok, {}, tuple(issues))
 
     outcome_excess: dict[str, float] = {}
     total = np.zeros((instr.d_in, instr.d_in), dtype=complex)

@@ -2,14 +2,17 @@
 
 For every outcome the transpose (Petz) channel
 ``sigma -> rho^{1/2} E† (E_m(rho))^{-1/2} sigma (E_m(rho))^{-1/2} E rho^{1/2}``
-is built, with a completion branch that sends the kernel of E_m(rho) to rho
-so the channel is trace preserving.  Composing each recovery with its
-outcome map gives a corrected channel whose entanglement fidelity certifies
-how reversible the measurement was: disturbance <= eps guarantees a
-corrected fidelity of at least 1 - 4*sqrt(eps) for this family (the optimal
-family achieves 1 - 2*sqrt(eps); the transpose channel is at most
-quadratically worse).  A Fano-type converse bounds the disturbance by a
-function of the fidelity deficit.
+is built, completed to trace preservation by sending the kernel of E_m(rho)
+to rho.  A call validates the instrument once and decomposes rho once (its
+square root and re-preparation vectors) and each posterior E_m(rho) once
+(inverse square root on the support, kernel).  The corrected channel
+sum_m R_m ∘ E_m has entanglement fidelity
+F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², summed with one product
+per outcome; :func:`entanglement_fidelity` of the explicit composite Kraus
+list is its reference.  Disturbance <= eps guarantees F >= 1 - 4*sqrt(eps)
+for this family (the optimal family achieves 1 - 2*sqrt(eps); the transpose
+channel is at most quadratically worse), and a Fano-type converse bounds
+the disturbance by a function of the fidelity deficit 1 - F.
 """
 
 from __future__ import annotations
@@ -18,14 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MissingOutcome,
-    ZeroProbabilityOutcome,
-)
+from .errors import DimensionMismatch, MissingOutcome, ZeroProbabilityOutcome
 from .measures import binary_entropy, disturbance
 from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
-from .tensors import LabeledState, SUPPORT_CUTOFF, func_on_support
+from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support_eigh
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,38 +42,33 @@ class RecoveryFamily:
             raise MissingOutcome(f"family has no channel for outcome {label!r}") from None
 
 
-def _kernel_basis(matrix: np.ndarray) -> np.ndarray:
-    m = (matrix + matrix.conj().T) / 2.0
-    w, v = np.linalg.eigh(m)
-    return v[:, w <= SUPPORT_CUTOFF]
+def _input_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From one decomposition of ``rho``: its square root on the support, and
+    the roots sqrt(w_i) and eigenvectors v_i of its eigenvalues above
+    PROB_EPS, from which a channel re-prepares ``rho``."""
+    sqrt_rho, w, v = _on_support_eigh(rho, np.sqrt)
+    keep = w > PROB_EPS
+    return sqrt_rho, np.sqrt(w[keep]), v[:, keep]
 
 
-def _reprepare_kraus(rho: np.ndarray, onto: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators of sigma -> Tr[Pi sigma] * rho for Pi = onto basis."""
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    out = []
-    for i in range(w.size):
-        if w[i] <= PROB_EPS:
-            continue
-        for j in range(onto.shape[1]):
-            out.append(np.sqrt(w[i]) * np.outer(v[:, i], onto[:, j].conj()))
-    return out
+def _reprepare_kraus(roots, vectors, onto: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators of sigma -> Tr[Pi sigma] * rho for Pi = onto basis,
+    with rho = sum_i roots_i² v_i v_i† over the columns v_i of ``vectors``."""
+    return [s * np.outer(v, k.conj()) for s, v in zip(roots, vectors.T) for k in onto.T]
 
 
-def _petz_kraus(
-    kraus: tuple[np.ndarray, ...],
-    sigma: np.ndarray,
-    rho: np.ndarray,
-    sqrt_rho: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Transpose channel of the outcome map with Kraus list ``kraus`` and
-    E_m(rho) = sigma, completed by re-preparing ``rho`` on sigma's kernel."""
-    inv_sqrt = func_on_support(sigma, lambda x: x ** -0.5)
-    recovery = [sqrt_rho @ e.conj().T @ inv_sqrt for e in kraus]
-    kernel = _kernel_basis(sigma)
-    if kernel.shape[1]:
-        recovery.extend(_reprepare_kraus(rho, kernel))
-    return tuple(recovery)
+def _transpose_channel(om, rho: np.ndarray, spectrum) -> tuple[float, tuple | None]:
+    """p_m and the transpose channel of outcome ``om``, completed by
+    re-preparing ``rho`` on the kernel of E_m(rho); None when p_m ~ 0."""
+    sigma = om.apply(rho)
+    p = float(np.trace(sigma).real)
+    if p <= PROB_EPS:
+        return p, None
+    sqrt_rho, roots, vectors = spectrum
+    inv_sqrt, w, v = _on_support_eigh(sigma, lambda x: x ** -0.5)
+    recovery = [sqrt_rho @ e.conj().T @ inv_sqrt for e in om.kraus]
+    recovery += _reprepare_kraus(roots, vectors, v[:, w <= SUPPORT_CUTOFF])
+    return p, tuple(recovery)
 
 
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
@@ -83,12 +77,10 @@ def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[n
     require_valid(instr)
     _check_input_state(instr, rho)
     om = instr.outcome(outcome)
-    sigma = om.apply(rho.matrix)
-    p = float(np.trace(sigma).real)
-    if p <= PROB_EPS:
+    p, kraus = _transpose_channel(om, rho.matrix, _input_spectrum(rho.matrix))
+    if kraus is None:
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
-    sqrt_rho = func_on_support(rho.matrix, np.sqrt)
-    return _petz_kraus(om.kraus, sigma, rho.matrix, sqrt_rho)
+    return kraus
 
 
 def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
@@ -99,21 +91,13 @@ def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     """
     require_valid(instr)
     _check_input_state(instr, rho)
-    sqrt_rho = func_on_support(rho.matrix, np.sqrt)
-    labels, channels, flags = [], [], []
+    spectrum = _input_spectrum(rho.matrix)
+    channels, flags = [], []
     for om in instr.outcomes:
-        sigma = om.apply(rho.matrix)
-        p = float(np.trace(sigma).real)
-        labels.append(om.label)
-        if p <= PROB_EPS:
-            onto = np.eye(instr.d_out)
-            channels.append(tuple(_reprepare_kraus(rho.matrix, onto)))
-            flags.append(True)
-            continue
-        kraus = _petz_kraus(om.kraus, sigma, rho.matrix, sqrt_rho)
-        channels.append(kraus)
-        flags.append(len(kraus) > om.multiplicity)
-    return RecoveryFamily(tuple(labels), tuple(channels), tuple(flags))
+        _, kraus = _transpose_channel(om, rho.matrix, spectrum)
+        flags.append(kraus is None or len(kraus) > om.multiplicity)
+        channels.append(kraus or tuple(_reprepare_kraus(*spectrum[1:], np.eye(instr.d_out))))
+    return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))
 
 
 def entanglement_fidelity(rho: LabeledState, kraus: tuple[np.ndarray, ...]) -> float:
@@ -137,22 +121,29 @@ def entanglement_fidelity(rho: LabeledState, kraus: tuple[np.ndarray, ...]) -> f
 def corrected_fidelity(
     instr: Instrument, rho: LabeledState, family: RecoveryFamily
 ) -> float:
-    """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m."""
+    """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m, read
+    as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
     require_valid(instr)
     _check_input_state(instr, rho)
-    composite: list[np.ndarray] = []
+    total = 0.0
     for om in instr.outcomes:
-        p = float(np.trace(om.apply(rho.matrix)).real)
         if om.label not in family.outcome_labels:
+            p = float(np.trace(om.apply(rho.matrix)).real)
             if p > PROB_EPS:
                 raise MissingOutcome(
                     f"recovery family misses outcome {om.label!r} with p = {p:.3e}"
                 )
             continue
-        for r in family.channel(om.label):
-            for e in om.kraus:
-                composite.append(np.asarray(r, dtype=complex) @ e)
-    return entanglement_fidelity(rho, tuple(composite))
+        shape = (instr.d_in, instr.d_out)
+        recovery = [np.asarray(r, dtype=complex) for r in family.channel(om.label)]
+        for r in recovery:
+            if r.shape != shape:
+                raise DimensionMismatch(f"recovery Kraus shape {r.shape} is not {shape}")
+        # Tr(rho R E) = vec(R) . vec((E rho)^T), without conjugation
+        e_rho_t = (np.stack(om.kraus) @ rho.matrix).transpose(0, 2, 1).reshape(om.multiplicity, -1)
+        amps = np.reshape(recovery, (-1, e_rho_t.shape[1])) @ e_rho_t.T
+        total += float(np.sum(np.abs(amps) ** 2))
+    return total
 
 
 @dataclass(frozen=True)
@@ -186,6 +177,4 @@ def fano_bound_check(
     bound = 2.0 * binary_entropy(x)
     if d >= 2:
         bound += 2.0 * x * float(np.log2(d * d - 1))
-    return FanoCheck(
-        delta=delta, fidelity=fidelity, bound=bound, holds=delta <= bound + 1e-9
-    )
+    return FanoCheck(delta, fidelity, bound, holds=delta <= bound + 1e-9)

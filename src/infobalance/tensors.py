@@ -223,13 +223,17 @@ def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
     ``func_on_support(m, lambda x: x**-0.5)`` is the pseudo-inverse square
     root.  Raises :class:`NegativeEigenvalue` below -1e-8.
     """
+    return _on_support_eigh(matrix, f)[0]
+
+
+def _on_support_eigh(matrix, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``func_on_support(matrix, f)`` and the ascending ``eigh`` it came from."""
     m = _square_complex(matrix)
-    m = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     if w.size and float(w[0]) < -1e-8:
         raise NegativeEigenvalue(f"min eigenvalue {w[0]:.3e} below -1e-8")
     fw = np.zeros_like(w)
     mask = w > SUPPORT_CUTOFF
     if np.any(mask):
         fw[mask] = f(w[mask])
-    return (v * fw) @ v.conj().T
+    return (v * fw) @ v.conj().T, w, v

@@ -38,6 +38,32 @@ class TestValidate:
         assert code == 2
 
 
+def non_finite_file(tmp_path, value):
+    """A projective-qubit instrument file with one entry replaced by ``value``."""
+    doc = json.loads(ib.dumps_instrument(ib.projective()))
+    doc["outcomes"][0]["kraus"][0][1][0][0] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    assert ("NaN" if math.isnan(value) else "Infinity") in path.read_text()
+    return str(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+class TestNonFiniteInstrument:
+    def test_validate_exits_1(self, capsys, tmp_path, value):
+        code, out, _ = run(capsys, "validate", non_finite_file(tmp_path, value), "--quiet")
+        assert code == 1
+        assert out.splitlines()[0] == "passed            no"
+        assert "violated: non-finite entries: outcome '0' Kraus 0\n" in out
+
+    @pytest.mark.parametrize("command", ["analyze", "recover", "holevo"])
+    def test_library_commands_exit_2(self, capsys, tmp_path, value, command):
+        code, out, err = run(capsys, command, non_finite_file(tmp_path, value))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: instrument invariant violated: non-finite entries")
+        assert err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_projective_table(self, capsys, fixtures_dir):
         code, out, _ = run(
@@ -232,6 +258,35 @@ class TestRecover:
         assert doc["corrected_fidelity"] == pytest.approx(0.5, abs=1e-9)
         assert doc["delta"] == pytest.approx(1.0, abs=1e-9)
         assert doc["meets_4sqrt"] is True
+
+
+    #: recover --format json at maximally-mixed and at diag:0.7, recorded
+    #: before the fidelity was computed without the composite Kraus list
+    RECORDED = {
+        ("filter", "maximally-mixed"): (0.7394468924503992, 0.666666666666667, 2.8932333352564146),
+        ("filter", "diag:0.7"): (0.6041765704563075, 0.7200000000000002, 2.5984806215241076),
+        ("partial-dephasing", "maximally-mixed"): (1.0, 0.5000000000000002, 3.584962500721155),
+        ("partial-dephasing", "diag:0.7"): (0.8812908992306927, 0.5800000000000002, 3.2942762906730776),
+        ("depolarizing", "maximally-mixed"): (2.0, 0.25000000000000006, 4.0),
+        ("depolarizing", "diag:0.7"): (1.7625817984613859, 0.3700000000000001, 3.898396936282788),
+        ("projective", "maximally-mixed"): (1.0, 0.5000000000000002, 3.584962500721155),
+        ("projective", "diag:0.7"): (0.8812908992306927, 0.5800000000000002, 3.2942762906730776),
+    }
+
+    @pytest.mark.parametrize("family, state", list(RECORDED))
+    def test_presets_match_recorded_values(self, capsys, family, state):
+        code, out, _ = run(
+            capsys, "recover", f"family:{family}", "--state", state, "--format", "json",
+            "--quiet",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        delta, fidelity, fano = self.RECORDED[family, state]
+        assert doc["delta"] == pytest.approx(delta, abs=1e-12)
+        assert doc["corrected_fidelity"] == pytest.approx(fidelity, abs=1e-12)
+        assert doc["fano_bound"] == pytest.approx(fano, abs=1e-12)
+        assert doc["bound_2sqrt"] == pytest.approx(1.0 - 2.0 * math.sqrt(delta), abs=1e-12)
+        assert doc["meets_4sqrt"] and doc["meets_2sqrt"] and doc["fano_holds"]
 
 
 class TestRandom:
@@ -433,3 +488,31 @@ class TestOutputLayer:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        _, first, _ = run(capsys, "analyze", "family:filter", "--quiet")
+
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        code, again, _ = run(capsys, "analyze", "family:filter", "--quiet")
+        assert (code, again) == (0, first)
+
+    def test_dispatch_goes_through_commands(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "validate", lambda args: seen.append(args.file) or 7)
+        assert main(["validate", "x.json"]) == 7
+        assert seen == ["x.json"]
+
+    def test_usage_error_repeats_unchanged(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: infobalance analyze")

@@ -458,12 +458,58 @@ class TestRouteIndependence:
             assert abs(iota_m + noise_m - delta_m) == pytest.approx(1e-6, abs=1e-9)
 
 
+def sliced_instrument(rng, d_in, d_out, mults):
+    """One Haar isometry cut into outcomes of multiplicities ``mults``."""
+    blocks = iter(np.split(ib.haar_isometry(rng, d_out * sum(mults), d_in), sum(mults)))
+    return ib.Instrument(d_in, d_out, tuple(
+        ib.OutcomeMap(str(m), tuple(next(blocks) for _ in range(k)))
+        for m, k in enumerate(mults)
+    ))
+
+
+def zero_outcome_case(rng):
+    """rho lives on the first half of C^256; outcome "z" projects onto the
+    second half and so has probability 0."""
+    half = sliced_instrument(rng, 128, 256, (3, 3, 3))
+    outcomes = [
+        ib.OutcomeMap(om.label, tuple(np.pad(k, ((0, 0), (0, 128))) for k in om.kraus))
+        for om in half.outcomes
+    ]
+    outcomes.append(ib.OutcomeMap("z", (np.diag(np.repeat([0.0, 1.0], 128)),)))
+    rho = np.pad(random_density(rng, 128), ((0, 128), (0, 128)))
+    return ib.Instrument(256, 256, tuple(outcomes)), labeled([("Q", 256)], rho)
+
+
+#: d = 256 stress cases: name -> (seed, (instrument, state) from the seeded rng);
+#: the full-rank case 256 also builds the Petz family
+D256_CASES = {
+    256: (256, lambda rng: (ib.random_instrument(256, 256, 256, 4, 3),
+                            random_state(rng, 256, rank=256))),
+    128: (128, lambda rng: (ib.random_instrument(128, 256, 256, 4, 3),
+                            random_state(rng, 256, rank=128))),
+    "rank1": (1, lambda rng: (ib.random_instrument(1, 256, 256, 4, 3),
+                              random_state(rng, 256, rank=1))),
+    "dout64": (64, lambda rng: (ib.random_instrument(64, 256, 64, 4, 3),
+                                random_state(rng, 256))),
+    "zero-outcome": (5, zero_outcome_case),
+    "mixed-mult": (7, lambda rng: (sliced_instrument(rng, 256, 256, (1, 2, 3, 4)),
+                                   random_state(rng, 256))),
+}
+
+
 class TestScale:
-    @pytest.mark.parametrize("rank", [256, 128])
-    def test_d256_report(self, rank):
-        rng = np.random.default_rng(rank)
-        instr = ib.random_instrument(rank, 256, 256, 4, 3)
-        rep = ib.balance_report(instr, random_state(rng, 256, rank=rank))
+    @pytest.mark.parametrize("case", list(D256_CASES))
+    def test_d256_report(self, case):
+        seed, build = D256_CASES[case]
+        instr, rho = build(np.random.default_rng(seed))
+        rep = ib.balance_report(instr, rho)
         assert rep.residual_balance <= 1e-9
         assert max(rep.residual_routes.values()) <= 1e-9
         assert rep.iota <= rep.delta + 1e-9
+        if case == 256:  # the Petz family and the Fano check on a full-rank state
+            family = ib.petz_family(instr, rho)
+            fano = ib.fano_bound_check(instr, rho, family, delta=rep.delta)
+            assert fano.holds and 0.0 <= fano.fidelity <= 1.0
+            for kraus in family.channels:
+                total = sum(k.conj().T @ k for k in kraus)
+                assert np.max(np.abs(total - np.eye(256))) <= 1e-8

@@ -51,6 +51,19 @@ class TestValidate:
         with pytest.raises(ib.InvalidInstrument):
             ib.require_valid(bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_reported(self, projective, entry):
+        kraus = projective.outcomes[0].kraus[0].copy()
+        kraus[1, 0] = entry
+        bad = ib.Instrument(
+            2, 2, (ib.OutcomeMap("0", (kraus,)), projective.outcomes[1])
+        )
+        report = ib.validate(bad)
+        assert not report.passed and report.dims_ok
+        assert report.issues == ("non-finite entries: outcome '0' Kraus 0",)
+        with pytest.raises(ib.InvalidInstrument, match="non-finite entries"):
+            ib.balance_report(bad, qstate([0.5, 0.5]))
+
 
 class TestPovmOf:
     def test_projective(self, projective):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infobalance as ib
+from infobalance.objects import PROB_EPS
 from conftest import (
     haar_unitary,
     perturbed_reversible,
@@ -214,3 +215,119 @@ class TestFanoBound:
         rho = random_state(rng, d)
         check = ib.fano_bound_check(instr, rho, ib.petz_family(instr, rho))
         assert check.holds
+
+
+def composite_kraus(instr, family):
+    """Explicit Kraus list of sum_m R_m ∘ E_m over the outcomes the family covers."""
+    return tuple(
+        np.asarray(r, dtype=complex) @ e
+        for om in instr.outcomes
+        if om.label in family.outcome_labels
+        for r in family.channel(om.label)
+        for e in om.kraus
+    )
+
+
+def random_pair(rng):
+    d = int(rng.integers(2, 6))
+    n, mult = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    d_out = max(int(rng.integers(1, 5)), -(-d // (n * mult)))
+    instr = ib.random_instrument(int(rng.integers(1 << 30)), d, d_out, n, mult)
+    return instr, random_state(rng, d, rank=int(rng.integers(1, d + 1)))
+
+
+class TestCorrectedFidelityReference:
+    """corrected_fidelity against entanglement_fidelity of the composite list."""
+
+    def assert_matches(self, instr, rho, family):
+        expected = ib.entanglement_fidelity(rho, composite_kraus(instr, family))
+        assert abs(ib.corrected_fidelity(instr, rho, family) - expected) <= 1e-12
+
+    @given(st.integers(0, 10**6))
+    def test_random_pairs(self, seed):
+        instr, rho = random_pair(np.random.default_rng(seed))
+        self.assert_matches(instr, rho, ib.petz_family(instr, rho))
+
+    def test_rank_deficient_state(self):
+        rng = np.random.default_rng(10)
+        instr = ib.random_instrument(10, 4, 3, 2, 2)
+        rho = random_state(rng, 4, rank=2)
+        self.assert_matches(instr, rho, ib.petz_family(instr, rho))
+
+    def test_zero_probability_outcome(self):
+        instr, rho = ib.filter_family(1.0), qstate([0.0, 1.0])
+        self.assert_matches(instr, rho, ib.petz_family(instr, rho))
+
+    def test_mixed_multiplicities(self):
+        rng = np.random.default_rng(11)
+        blocks = np.split(ib.haar_isometry(rng, 3 * 6, 3), 6)
+        instr = ib.Instrument(3, 3, (
+            ib.OutcomeMap("a", tuple(blocks[:1])),
+            ib.OutcomeMap("b", tuple(blocks[1:3])),
+            ib.OutcomeMap("c", tuple(blocks[3:])),
+        ))
+        rho = random_state(rng, 3, rank=2)
+        self.assert_matches(instr, rho, ib.petz_family(instr, rho))
+
+    def test_loaded_non_petz_family(self):
+        rng = np.random.default_rng(12)
+        instr = ib.random_instrument(12, 3, 2, 2, 2)
+        # each outcome's "recovery" is an arbitrary channel from C^2 to C^3
+        channels = tuple(ib.random_instrument(20 + m, 2, 3, 1, 2).outcomes[0].kraus
+                         for m in range(2))
+        family = ib.loads_recovery_family(ib.dumps_recovery_family(
+            ib.RecoveryFamily(instr.outcome_labels, channels, (False, False))
+        ))
+        self.assert_matches(instr, random_state(rng, 3), family)
+
+    def test_family_for_another_output_dimension(self):
+        rng = np.random.default_rng(13)
+        instr = ib.random_instrument(13, 3, 2, 2, 1)
+        rho = random_state(rng, 3)
+        other = ib.petz_family(ib.random_instrument(13, 3, 3, 2, 1), rho)
+        with pytest.raises(ib.DimensionMismatch, match=r"\(3, 3\)"):
+            ib.corrected_fidelity(instr, rho, other)
+
+
+class TestOnePassPerCall:
+    @given(st.integers(0, 10**6))
+    def test_petz_recovery_is_the_family_channel(self, seed):
+        instr, rho = random_pair(np.random.default_rng(seed))
+        family = ib.petz_family(instr, rho)
+        for om in instr.outcomes:
+            if ib.outcome_probability(instr, om.label, rho) > PROB_EPS:
+                one = ib.petz_recovery(instr, rho, om.label)
+                assert len(one) == len(family.channel(om.label))
+                for a, b in zip(one, family.channel(om.label)):
+                    np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append(name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "instr, d",
+        [(ib.random_instrument(1, 3, 3, 3, 2), 3), (ib.projective(), 2)],
+        ids=["random", "projective"],
+    )
+    def test_petz_family_decomposes_each_matrix_once(self, monkeypatch, instr, d):
+        rho = qstate(np.ones(d) / d)
+        calls = self.count_eigensolves(monkeypatch)
+        ib.petz_family(instr, rho)
+        # n for validation, one for rho, one per posterior
+        assert len(calls) <= 2 * instr.n_outcomes + 1
+
+    def test_corrected_fidelity_only_validates(self, monkeypatch):
+        instr = ib.random_instrument(1, 3, 3, 3, 2)
+        rho = random_state(np.random.default_rng(14), 3)
+        family = ib.petz_family(instr, rho)
+        calls = self.count_eigensolves(monkeypatch)
+        monkeypatch.setattr(ib.recovery, "purify", None)
+        ib.corrected_fidelity(instr, rho, family)
+        assert len(calls) == instr.n_outcomes
