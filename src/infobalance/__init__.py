@@ -36,8 +36,6 @@ from .tensors import (
     entropy_bits,
     func_on_support,
     partial_trace,
-    tensor_product,
-    von_neumann_entropy,
 )
 from .objects import (
     Instrument,
@@ -53,7 +51,6 @@ from .objects import (
     purify,
     random_instrument,
     require_valid,
-    theta_state,
     validate,
 )
 from .serialize import (
@@ -67,20 +64,29 @@ from .serialize import (
     loads_recovery_family,
     loads_state,
 )
-from .dilation import DilationBundle, dilate, reduced, unitary_completion
+from .dilation import (
+    DilationBundle,
+    chi_quantity,
+    coherent_information,
+    conditional_mutual_information,
+    dilate,
+    entanglement_fidelity,
+    mutual_information,
+    reduced,
+    tensor_product,
+    theta_state,
+    unitary_completion,
+    von_neumann_entropy,
+)
 from .measures import (
     BalanceReport,
     OutcomeBalance,
     balance_report,
     binary_entropy,
-    chi_quantity,
-    coherent_information,
-    conditional_mutual_information,
     disturbance,
     disturbance_no_outcomes,
     groenewold_gain,
     information_gain,
-    mutual_information,
     noise_delta,
     shannon_entropy,
     single_outcome_quantities,
@@ -89,7 +95,6 @@ from .recovery import (
     FanoCheck,
     RecoveryFamily,
     corrected_fidelity,
-    entanglement_fidelity,
     fano_bound_check,
     petz_family,
     petz_recovery,

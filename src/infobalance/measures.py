@@ -19,9 +19,8 @@ Kraus operator.
 The joint state on [R, Qp, App, X] is never built: every quantity is an
 average over outcomes of small per-outcome spectra, each evaluated by two
 routes that share no matrix (see ``_Analysis``).  Negative round-off is
-clipped to zero only for quantities that are provably nonnegative.
-:func:`infobalance.dilation.dilate` builds the joint state explicitly, and
-the tests compare these functionals against entropies of it.
+clipped to zero only for quantities that are provably nonnegative.  The
+reference module :mod:`infobalance.dilation` builds the joint state instead.
 """
 
 from __future__ import annotations
@@ -31,14 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadDistribution,
-    LabelOverlap,
-    NumericalInconsistency,
-    ZeroProbabilityOutcome,
-)
+from .errors import BadDistribution, NumericalInconsistency, ZeroProbabilityOutcome
 from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
-from .tensors import ENTROPY_CUTOFF, LabeledState, entropy_bits, partial_trace
+from .tensors import ENTROPY_CUTOFF, LabeledState, entropy_bits
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -72,87 +66,6 @@ def shannon_entropy(probs: Sequence[float]) -> float:
     p = p[p > ENTROPY_CUTOFF]
     # adding 0.0 turns the -0.0 of a certain outcome into 0.0
     return float(-(p * np.log2(p)).sum()) + 0.0 if p.size else 0.0
-
-
-def _disjoint(*groups: Sequence[str]) -> None:
-    seen: set[str] = set()
-    for g in groups:
-        g = set(g)
-        if g & seen:
-            raise LabelOverlap(f"label groups overlap on {sorted(g & seen)}")
-        seen |= g
-
-
-def _restrict(state: LabeledState, *groups: Sequence[str]) -> LabeledState:
-    """Trace out everything not mentioned by the groups."""
-    union = [name for name in state.names if any(name in g for g in groups)]
-    if len(union) == len(state.names):
-        return state
-    return partial_trace(state, union)
-
-
-def mutual_information(
-    state: LabeledState, part_a: Sequence[str], part_b: Sequence[str]
-) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) in bits; labels outside A,B are traced out."""
-    _disjoint(part_a, part_b)
-    joint = _restrict(state, part_a, part_b)
-    value = (
-        entropy_bits(partial_trace(joint, list(part_a)).matrix)
-        + entropy_bits(partial_trace(joint, list(part_b)).matrix)
-        - entropy_bits(joint.matrix)
-    )
-    return _clip_nonneg(value)
-
-
-def conditional_mutual_information(
-    state: LabeledState,
-    part_a: Sequence[str],
-    part_b: Sequence[str],
-    part_c: Sequence[str],
-) -> float:
-    """I(A:B|C) = S(AC) + S(BC) - S(ABC) - S(C) in bits."""
-    _disjoint(part_a, part_b, part_c)
-    joint = _restrict(state, part_a, part_b, part_c)
-    a, b, c = list(part_a), list(part_b), list(part_c)
-    value = (
-        entropy_bits(partial_trace(joint, a + c).matrix)
-        + entropy_bits(partial_trace(joint, b + c).matrix)
-        - entropy_bits(joint.matrix)
-        - entropy_bits(partial_trace(joint, c).matrix)
-    )
-    return _clip_nonneg(value)
-
-
-def coherent_information(
-    state: LabeledState, from_labels: Sequence[str], to_labels: Sequence[str]
-) -> float:
-    """I_c(A -> B) = S(B) - S(AB) in bits; may be negative."""
-    _disjoint(from_labels, to_labels)
-    joint = _restrict(state, from_labels, to_labels)
-    return entropy_bits(partial_trace(joint, list(to_labels)).matrix) - entropy_bits(
-        joint.matrix
-    )
-
-
-def chi_quantity(ensemble: Sequence[tuple[float, LabeledState]]) -> float:
-    """Holevo chi = S(sum_i p_i rho_i) - sum_i p_i S(rho_i) in bits."""
-    if not ensemble:
-        raise BadDistribution("empty ensemble")
-    probs = np.array([p for p, _ in ensemble], dtype=float)
-    if float(probs.min()) < -PROB_EPS:
-        raise BadDistribution(f"negative ensemble weight {probs.min():.3e}")
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise BadDistribution(f"ensemble weights sum to {probs.sum()}, expected 1")
-    dims = {s.dim for _, s in ensemble}
-    if len(dims) != 1:
-        raise BadDistribution(f"ensemble members have mixed dimensions {sorted(dims)}")
-    avg = np.zeros((ensemble[0][1].dim,) * 2, dtype=complex)
-    mean_entropy = 0.0
-    for p, s in ensemble:
-        avg += p * s.matrix
-        mean_entropy += p * entropy_bits(s.matrix)
-    return _clip_nonneg(entropy_bits(avg) - mean_entropy)
 
 
 # -- per-measurement analysis --------------------------------------------------

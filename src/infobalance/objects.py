@@ -266,23 +266,6 @@ def posterior_state(instr: Instrument, label: str, rho: LabeledState) -> Labeled
     )
 
 
-def theta_state(instr: Instrument, rho: LabeledState) -> LabeledState:
-    """Output-plus-register state sum_m E_m(rho) ⊗ |m><m| on [Qp, X].
-
-    The register X has one basis vector per outcome, indexed by list
-    position; blocks between different register values are exactly zero.
-    """
-    require_valid(instr)
-    _check_input_state(instr, rho)
-    n, d_out = instr.n_outcomes, instr.d_out
-    theta = np.zeros((d_out * n, d_out * n), dtype=complex)
-    register_blocks = theta.reshape(d_out, n, d_out, n)
-    for idx, om in enumerate(instr.outcomes):
-        register_blocks[:, idx, :, idx] = om.apply(rho.matrix)
-    labels = (Subsystem("Qp", instr.d_out), Subsystem("X", n))
-    return LabeledState(labels, theta, validate=False)
-
-
 @dataclass(frozen=True, eq=False)
 class PurifiedInput:
     """A state rho on Q together with a purifying vector on R ⊗ Q.

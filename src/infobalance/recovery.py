@@ -8,11 +8,12 @@ square root and re-preparation vectors) and each posterior E_m(rho) once
 (inverse square root on the support, kernel).  The corrected channel
 sum_m R_m ∘ E_m has entanglement fidelity
 F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², summed with one product
-per outcome; :func:`entanglement_fidelity` of the explicit composite Kraus
-list is its reference.  Disturbance <= eps guarantees F >= 1 - 4*sqrt(eps)
-for this family (the optimal family achieves 1 - 2*sqrt(eps); the transpose
-channel is at most quadratically worse), and a Fano-type converse bounds
-the disturbance by a function of the fidelity deficit 1 - F.
+per outcome; :func:`infobalance.dilation.entanglement_fidelity` of the
+explicit composite Kraus list is its reference.  Disturbance <= eps
+guarantees F >= 1 - 4*sqrt(eps) for this family (the optimal family achieves
+1 - 2*sqrt(eps); the transpose channel is at most quadratically worse), and
+a Fano-type converse bounds the disturbance by a function of the fidelity
+deficit 1 - F.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingOutcome, ZeroProbabilityOutcome
 from .measures import binary_entropy, disturbance
-from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
+from .objects import PROB_EPS, Instrument, _check_input_state, require_valid
 from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support_eigh
 
 
@@ -100,24 +101,6 @@ def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))
 
 
-def entanglement_fidelity(rho: LabeledState, kraus: tuple[np.ndarray, ...]) -> float:
-    """F_e(rho, channel) = <Psi| (id ⊗ channel)(Psi) |Psi> with the canonical
-    purification Psi of rho; independent of the purifying basis."""
-    d = rho.dim
-    for k in kraus:
-        k = np.asarray(k)
-        if k.shape != (d, d):
-            raise DimensionMismatch(
-                f"channel Kraus shape {k.shape} is not ({d}, {d})"
-            )
-    psi = purify(rho).psi_matrix
-    total = 0.0
-    for k in kraus:
-        amp = np.vdot(psi, psi @ np.asarray(k, dtype=complex).T)
-        total += float(np.abs(amp)) ** 2
-    return total
-
-
 def corrected_fidelity(
     instr: Instrument, rho: LabeledState, family: RecoveryFamily
 ) -> float:
@@ -125,6 +108,11 @@ def corrected_fidelity(
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
     require_valid(instr)
     _check_input_state(instr, rho)
+    return _corrected_fidelity(instr, rho, family)
+
+
+def _corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFamily) -> float:
+    """:func:`corrected_fidelity` of an instrument that has been validated."""
     total = 0.0
     for om in instr.outcomes:
         if om.label not in family.outcome_labels:
@@ -171,7 +159,10 @@ def fano_bound_check(
     """
     if delta is None:
         delta = disturbance(instr, rho)
-    fidelity = corrected_fidelity(instr, rho, family)
+    else:
+        require_valid(instr)
+        _check_input_state(instr, rho)
+    fidelity = _corrected_fidelity(instr, rho, family)
     x = min(max(1.0 - fidelity, 0.0), 1.0)
     d = instr.d_in
     bound = 2.0 * binary_entropy(x)

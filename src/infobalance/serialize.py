@@ -105,7 +105,10 @@ def dumps_instrument(instr: Instrument) -> str:
 
 
 def loads_instrument(text: str, validate_invariants: bool = True) -> Instrument:
-    doc = _expect(_loads(text), dict, "<root>")
+    return _instrument_in(_expect(_loads(text), dict, "<root>"), validate_invariants)
+
+
+def _instrument_in(doc: dict, validate_invariants: bool) -> Instrument:
     for key in ("d_in", "d_out", "outcomes"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
@@ -200,14 +203,12 @@ def loads_recovery_family(text: str, validate_invariants: bool = True):
     labels, channels, flags = [], [], []
     for i, cnode in enumerate(_expect(doc["channels"], list, "channels")):
         cnode = _expect(cnode, dict, f"channels[{i}]")
-        channel = loads_instrument(
-            dumps_json(cnode), validate_invariants=validate_invariants
-        )
+        channel = _instrument_in(cnode, validate_invariants)
         if channel.n_outcomes != 1:
             raise ParseError(f"channels[{i}]: expected a single-outcome document")
         labels.append(channel.outcomes[0].label)
         channels.append(channel.outcomes[0].kraus)
-        flags.append(bool(cnode.get("completion", False)))
+        flags.append(_expect(cnode.get("completion", False), bool, f"channels[{i}].completion"))
     return RecoveryFamily(tuple(labels), tuple(channels), tuple(flags))
 
 

@@ -2,8 +2,9 @@
 
 A :class:`LabeledState` is a density operator tagged with an ordered list of
 named subsystems, so partial traces and reduced states can be requested by
-name instead of by axis arithmetic.  Everything here is a pure function of
-its inputs; matrices are copied and frozen at construction.
+name instead of by axis arithmetic; only :mod:`infobalance.dilation` does.
+:func:`entropy_bits` is the engine's entropy kernel.  Everything here is a
+pure function of its inputs; matrices are copied and frozen at construction.
 """
 
 from __future__ import annotations
@@ -139,19 +140,6 @@ class LabeledState:
         return f"LabeledState([{parts}], trace={self.trace:.6f})"
 
 
-def tensor_product(a: LabeledState, b: LabeledState) -> LabeledState:
-    """Kronecker product; output labels are ``a``'s followed by ``b``'s."""
-    shared = {lab.name for lab in a.labels} & {lab.name for lab in b.labels}
-    if shared:
-        raise DuplicateLabel(f"label names {sorted(shared)} appear on both factors")
-    return LabeledState(
-        a.labels + b.labels,
-        np.kron(a.matrix, b.matrix),
-        subnormalized=a.subnormalized or b.subnormalized,
-        validate=False,
-    )
-
-
 def partial_trace(state: LabeledState, keep: Sequence[str]) -> LabeledState:
     """Trace out every subsystem not named in ``keep``.
 
@@ -209,11 +197,6 @@ def entropy_bits(matrix) -> float:
         return 0.0
     s = float(-np.sum(w * np.log2(w)))
     return 0.0 if -1e-9 <= s < 0.0 else s
-
-
-def von_neumann_entropy(state: LabeledState) -> float:
-    """Entropy in bits; eigenvalues below 1e-12 count as exact zeros."""
-    return entropy_bits(state.matrix)
 
 
 def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -1,0 +1,45 @@
+"""Module boundaries that other code relies on: the engine never imports the
+reference module, and every per-layer metric of the benchmark names a
+function or class that still lives in the module it is attributed to."""
+
+import ast
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "infobalance"
+ENGINE = ("objects", "tensors", "measures", "recovery", "encodings", "families", "serialize", "cli")
+
+
+def imported_modules(tree):
+    """Absolute names of the package modules imported anywhere in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "infobalance" if node.level else ""
+            module = ".".join(filter(None, [base, node.module or ""]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_does_not_import_reference(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert "infobalance.dilation" not in set(imported_modules(tree))
+
+
+def per_layer_targets():
+    """(module, name) of every per-layer metric ``<module>.<name>.<counter>``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [metric["name"].split(".") for metric in spec["per_layer"]]
+    return sorted({(parts[0], parts[1]) for parts in names if len(parts) == 3})
+
+
+@pytest.mark.parametrize("module, name", per_layer_targets())
+def test_per_layer_metric_names_a_traced_definition(module, name):
+    mod = importlib.import_module(f"infobalance.{module}")
+    assert getattr(getattr(mod, name, None), "__module__", None) == mod.__name__

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infobalance as ib
-from infobalance import measures
+from infobalance import measures, tensors
 from conftest import haar_unitary, qstate, random_density, random_state, realize_povm
 
 
@@ -439,6 +439,27 @@ class TestDenseReference:
         povm = ib.povm_of(ib.random_instrument(seed, 3, 3, 3, 1))
         instr = realize_povm(povm, rng)
         assert_matches_dense_reference(instr, random_state(rng, 3, rank=2))
+
+    @staticmethod
+    def near_pure_state():
+        """Eigenvalues (1-2e-8, 1e-8, 1e-8) in a Haar basis: spectral weight
+        above ENTROPY_CUTOFF but below 1e-6."""
+        u = ib.haar_isometry(np.random.default_rng(0), 3, 3)
+        return qstate(u @ np.diag([1 - 2e-8, 1e-8, 1e-8]) @ u.conj().T)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_weight_between_cutoff_and_1e6(self, n):
+        instr = ib.random_instrument(4, 3, 3, n, 2)
+        assert_matches_dense_reference(instr, self.near_pure_state())
+
+    def test_cutoff_defect_is_caught(self, monkeypatch):
+        # both engine routes drop the 1e-8 eigenvalues alike and still agree;
+        # only the cutoff-free reference sees delta move by 3.3e-7
+        for module in (tensors, measures):
+            monkeypatch.setattr(module, "ENTROPY_CUTOFF", 1e-6)
+        instr = ib.random_instrument(4, 3, 3, 1, 2)
+        with pytest.raises(AssertionError, match="delta"):
+            assert_matches_dense_reference(instr, self.near_pure_state())
 
 
 class TestRouteIndependence:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,29 @@ def test_reduced_dilation_state_serializes():
     back = ib.loads_state(ib.dumps_state(state))
     assert back.names == ("R", "X")
     np.testing.assert_allclose(back.matrix, state.matrix, atol=0)
+
+
+def recovery_family_doc():
+    rho = qstate([0.5, 0.5])
+    return json.loads(ib.dumps_recovery_family(ib.petz_family(ib.projective(), rho)))
+
+
+@pytest.mark.parametrize("validate_invariants", [True, False])
+def test_recovery_family_nan_entry_uses_loader_message(validate_invariants):
+    doc = recovery_family_doc()
+    doc["channels"][0]["outcomes"][0]["kraus"][0][0][0] = [float("nan"), 0.0]
+    text = json.dumps(doc)
+    if validate_invariants:
+        with pytest.raises(ib.ParseError, match="non-finite entries"):
+            ib.loads_recovery_family(text)
+    else:
+        family = ib.loads_recovery_family(text, validate_invariants=False)
+        assert np.isnan(family.channels[0][0][0, 0])
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_recovery_family_completion_must_be_bool(value):
+    doc = recovery_family_doc()
+    doc["channels"][0]["completion"] = value
+    with pytest.raises(ib.ParseError, match=r"channels\[0\]\.completion"):
+        ib.loads_recovery_family(json.dumps(doc))
