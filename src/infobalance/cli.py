@@ -21,7 +21,7 @@ from . import __version__
 from .encodings import holevo_check
 from .errors import InfoBalanceError, ParseError
 from .families import DEFAULT_PARAMS, FAMILIES
-from .measures import balance_report, disturbance
+from .measures import balance_report
 from .objects import Instrument, purify, random_instrument, validate
 from .recovery import fano_bound_check, petz_family
 from .serialize import (
@@ -221,14 +221,13 @@ def cmd_sweep(args) -> int:
 def cmd_recover(args) -> int:
     instr = _load_instrument(args.instrument)
     rho = _load_state(args.state, instr.d_in)
-    delta = disturbance(instr, rho)
-    fano = fano_bound_check(instr, rho, petz_family(instr, rho), delta=delta)
-    eps = max(delta, 0.0)
+    fano = fano_bound_check(instr, rho, petz_family(instr, rho))
+    eps = max(fano.delta, 0.0)
     bound2 = 1.0 - 2.0 * math.sqrt(eps)
     bound4 = 1.0 - 4.0 * math.sqrt(eps)
     meets4 = fano.fidelity >= bound4 - 1e-9
     doc = {
-        "delta": delta,
+        "delta": fano.delta,
         "corrected_fidelity": fano.fidelity,
         "bound_2sqrt": bound2,
         "bound_4sqrt": bound4,

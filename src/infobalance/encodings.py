@@ -85,8 +85,7 @@ def joint_distribution(enc: Encoding, instr: Instrument) -> np.ndarray:
     for part in enc.parts:
         if part.shape != (d, d):
             raise DimensionMismatch(f"letter state shape {part.shape} != ({d}, {d})")
-    elements = np.stack([om.povm_element() for om in instr.outcomes])
-    return _joint_table(np.stack(enc.parts), elements)
+    return _joint_table(np.stack(enc.parts), instr.povm_elements)
 
 
 def _joint_table(parts: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -214,7 +213,7 @@ def holevo_check(
     Raises :class:`NumericalInconsistency` if any trial exceeds iota + 1e-9.
     """
     iota = information_gain(instr, inp.rho)
-    elements = np.stack([om.povm_element() for om in instr.outcomes])
+    elements = instr.povm_elements
     dim = inp.r_dim
     labels = tuple(str(i) for i in range(dim + 2))
     block = max(1, _BLOCK_BYTES // (16 * (dim + 2) * dim * dim))

@@ -97,8 +97,7 @@ class _Analysis:
         _check_input_state(instr, rho)
         psi = purify(rho).psi_matrix
         d_r, d_out, n = psi.shape[0], instr.d_out, instr.n_outcomes
-        kraus = [np.array(om.kraus) for om in instr.outcomes]
-        stacked = np.concatenate(kraus)
+        stacked = instr.kraus_stack
         amplitudes = psi @ stacked.transpose(0, 2, 1)
         # S(R) of the whole dilated state, which is S(rho); with one outcome
         # it is bit for bit S(R|m), so iota_m is exactly 0 there
@@ -118,10 +117,10 @@ class _Analysis:
         self.pure_side = np.zeros((n, 3))
         self.state_side = np.zeros((n, 3))
         start = 0
-        for idx, (om, ks) in enumerate(zip(instr.outcomes, kraus)):
-            block = slice(start, start + len(ks))
-            start += len(ks)
-            posterior = (mapped[block] @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+        for idx, (om, element) in enumerate(zip(instr.outcomes, instr.povm_elements)):
+            block = slice(start, start + om.multiplicity)
+            start += om.multiplicity
+            posterior = (mapped[block] @ stacked[block].conj().transpose(0, 2, 1)).sum(axis=0)
             self.output += posterior
             t = amplitudes[block]
             p = float(np.vdot(t, t).real)
@@ -132,9 +131,9 @@ class _Analysis:
             self.pure_side[idx] = (
                 _schmidt_entropy(t.transpose(1, 0, 2).reshape(d_r, -1), p),
                 _schmidt_entropy(t.transpose(2, 0, 1).reshape(d_out, -1), p),
-                _schmidt_entropy(t.reshape(len(ks), -1), p),
+                _schmidt_entropy(t.reshape(om.multiplicity, -1), p),
             )
-            member = psi @ om.povm_element().T @ psi.conj().T
+            member = psi @ element.T @ psi.conj().T
             reference += member
             self.state_side[idx] = (
                 entropy_bits(member / p),

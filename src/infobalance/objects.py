@@ -4,13 +4,14 @@ An :class:`Instrument` is a finite list of outcomes, each a completely
 positive map given by Kraus operators from the input space to the output
 space; the sum of all maps must be trace preserving.  Construction is
 permissive so that defective instruments loaded from files can still be
-inspected: hard validity is checked by :func:`validate` /
-:func:`require_valid`.
+inspected: hard validity is checked by :func:`validate`.  An instrument
+computes its validation report, Kraus stack and POVM elements once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +33,16 @@ TP_ATOL = 1e-8
 PROB_EPS = 1e-12
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 def _operator(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"operators must be 2-D, got shape {m.shape}")
-    m = m.copy()
-    m.setflags(write=False)
-    return m
+    return _read_only(m.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +112,21 @@ class Instrument:
     def outcome(self, label: str) -> OutcomeMap:
         return self.outcomes[self.outcome_index(label)]
 
+    @cached_property
+    def validation_report(self) -> ValidationReport:
+        """:func:`validate` of this instrument, computed on first use and kept."""
+        return validate(self)
+
+    @cached_property
+    def kraus_stack(self) -> np.ndarray:
+        """Read-only ``(K, d_out, d_in)`` stack of the Kraus operators, outcome by outcome."""
+        return _read_only(np.concatenate([np.array(o.kraus) for o in self.outcomes]))
+
+    @cached_property
+    def povm_elements(self) -> np.ndarray:
+        """Read-only ``(n, d_in, d_in)`` stack of the POVM elements sum_k E_k† E_k."""
+        return _read_only(np.stack([o.povm_element() for o in self.outcomes]))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -148,8 +167,7 @@ def validate(instr: Instrument) -> ValidationReport:
 
     outcome_excess: dict[str, float] = {}
     total = np.zeros((instr.d_in, instr.d_in), dtype=complex)
-    for o in instr.outcomes:
-        p_el = o.povm_element()
+    for o, p_el in zip(instr.outcomes, instr.povm_elements):
         total += p_el
         w, _ = eig_hermitian(p_el)
         excess = float(w[0]) - 1.0 if w.size else -1.0
@@ -170,9 +188,8 @@ def validate(instr: Instrument) -> ValidationReport:
 
 def require_valid(instr: Instrument) -> None:
     """Raise :class:`InvalidInstrument` unless the instrument validates."""
-    report = validate(instr)
-    if not report.passed:
-        raise InvalidInstrument("; ".join(report.issues))
+    if not instr.validation_report.passed:
+        raise InvalidInstrument("; ".join(instr.validation_report.issues))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,10 +250,7 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
 def povm_of(instr: Instrument) -> Povm:
     """POVM induced by the instrument: P_m = sum_k E_{m,k}† E_{m,k}."""
     require_valid(instr)
-    return Povm(
-        instr.d_in,
-        tuple((o.label, o.povm_element()) for o in instr.outcomes),
-    )
+    return Povm(instr.d_in, tuple(zip(instr.outcome_labels, instr.povm_elements)))
 
 
 def _check_input_state(instr: Instrument, rho: LabeledState) -> None:
@@ -296,8 +310,7 @@ class PurifiedInput:
             raise InvalidState(
                 f"purification does not reduce to the state: max dev {dev:.3e}"
             )
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "psi", _read_only(psi))
 
     @property
     def psi_matrix(self) -> np.ndarray:

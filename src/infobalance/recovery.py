@@ -3,10 +3,10 @@
 For every outcome the transpose (Petz) channel
 ``sigma -> rho^{1/2} E† (E_m(rho))^{-1/2} sigma (E_m(rho))^{-1/2} E rho^{1/2}``
 is built, completed to trace preservation by sending the kernel of E_m(rho)
-to rho.  A call validates the instrument once and decomposes rho once (its
-square root and re-preparation vectors) and each posterior E_m(rho) once
-(inverse square root on the support, kernel).  The corrected channel
-sum_m R_m ∘ E_m has entanglement fidelity
+to rho.  An instrument's validation report is computed once, on first use;
+a call decomposes rho once (its square root and re-preparation vectors) and
+each posterior E_m(rho) once (inverse square root on the support, kernel).
+The corrected channel sum_m R_m ∘ E_m has entanglement fidelity
 F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², summed with one product
 per outcome; :func:`infobalance.dilation.entanglement_fidelity` of the
 explicit composite Kraus list is its reference.  Disturbance <= eps
@@ -108,13 +108,9 @@ def corrected_fidelity(
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
     require_valid(instr)
     _check_input_state(instr, rho)
-    return _corrected_fidelity(instr, rho, family)
-
-
-def _corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFamily) -> float:
-    """:func:`corrected_fidelity` of an instrument that has been validated."""
     total = 0.0
-    for om in instr.outcomes:
+    ends = np.cumsum([om.multiplicity for om in instr.outcomes])
+    for om, kraus in zip(instr.outcomes, np.split(instr.kraus_stack, ends[:-1])):
         if om.label not in family.outcome_labels:
             p = float(np.trace(om.apply(rho.matrix)).real)
             if p > PROB_EPS:
@@ -128,7 +124,7 @@ def _corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFa
             if r.shape != shape:
                 raise DimensionMismatch(f"recovery Kraus shape {r.shape} is not {shape}")
         # Tr(rho R E) = vec(R) . vec((E rho)^T), without conjugation
-        e_rho_t = (np.stack(om.kraus) @ rho.matrix).transpose(0, 2, 1).reshape(om.multiplicity, -1)
+        e_rho_t = (kraus @ rho.matrix).transpose(0, 2, 1).reshape(om.multiplicity, -1)
         amps = np.reshape(recovery, (-1, e_rho_t.shape[1])) @ e_rho_t.T
         total += float(np.sum(np.abs(amps) ** 2))
     return total
@@ -159,10 +155,7 @@ def fano_bound_check(
     """
     if delta is None:
         delta = disturbance(instr, rho)
-    else:
-        require_valid(instr)
-        _check_input_state(instr, rho)
-    fidelity = _corrected_fidelity(instr, rho, family)
+    fidelity = corrected_fidelity(instr, rho, family)
     x = min(max(1.0 - fidelity, 0.0), 1.0)
     d = instr.d_in
     bound = 2.0 * binary_entropy(x)

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import InfoBalanceError, ParseError
-from .objects import Instrument, OutcomeMap, Povm, validate
+from .objects import Instrument, OutcomeMap, Povm
 from .tensors import LabeledState, Subsystem
 
 
@@ -59,7 +59,7 @@ def _loads(text: str) -> object:
 
 
 def _expect(node, typ, where: str):
-    if not isinstance(node, typ):
+    if type(node) is not typ:  # not isinstance: bool subclasses int
         raise ParseError(
             f"field {where!r}: expected {typ.__name__}, got {type(node).__name__}"
         )
@@ -81,7 +81,7 @@ def _matrix_in(node, where: str) -> np.ndarray:
         entries = []
         for j, z in enumerate(row):
             z = _expect(z, list, f"{where}[{i}][{j}]")
-            if len(z) != 2 or not all(isinstance(t, (int, float)) for t in z):
+            if len(z) != 2 or not all(type(t) in (int, float) for t in z):
                 raise ParseError(
                     f"field {where!r}[{i}][{j}]: complex entries are [re, im]"
                 )
@@ -132,12 +132,9 @@ def _instrument_in(doc: dict, validate_invariants: bool) -> Instrument:
         instr = Instrument(d_in, d_out, tuple(outcomes))
     except InfoBalanceError as exc:
         raise ParseError(str(exc)) from exc
-    if validate_invariants:
-        report = validate(instr)
-        if not report.passed:
-            raise ParseError(
-                "instrument invariant violated: " + "; ".join(report.issues)
-            )
+    if validate_invariants and not instr.validation_report.passed:
+        issues = "; ".join(instr.validation_report.issues)
+        raise ParseError(f"instrument invariant violated: {issues}")
     return instr
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -98,3 +100,20 @@ def fixtures_dir(tmp_path_factory):
     rho = np.eye(2) / 2
     (root / "mixed_qubit.json").write_text(ib.dumps_state(qstate(np.diag(rho))))
     return root
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Every instrument passed to ``objects.validate``, counted at each name
+    the function is bound to in the package."""
+    calls = []
+    real = ib.objects.validate
+
+    def counted(instr):
+        calls.append(instr)
+        return real(instr)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "infobalance" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counted)
+    return calls

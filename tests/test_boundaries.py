@@ -1,6 +1,8 @@
 """Module boundaries that other code relies on: the engine never imports the
-reference module, and every per-layer metric of the benchmark names a
-function or class that still lives in the module it is attributed to."""
+reference module, only ``objects`` lays out an instrument's operators and
+validates it (``cli`` also reports a fresh validation), and every per-layer
+metric of the benchmark names a function or class that still lives in the
+module it is attributed to."""
 
 import ast
 import importlib
@@ -30,6 +32,34 @@ def imported_modules(tree):
 def test_engine_does_not_import_reference(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert "infobalance.dilation" not in set(imported_modules(tree))
+
+
+def calls_in(tree, name):
+    """Enclosing top-level function of each call of ``name``, as a function
+    or a method, anywhere in ``tree``."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    yield getattr(top, "name", "<module>")
+
+
+OUTSIDE_OBJECTS = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "objects")
+
+
+@pytest.mark.parametrize("module", OUTSIDE_OBJECTS)
+def test_only_objects_builds_povm_elements(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert list(calls_in(tree, "povm_element")) == []
+
+
+@pytest.mark.parametrize("module", OUTSIDE_OBJECTS)
+def test_only_the_validate_subcommand_calls_validate(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    expected = ["cmd_validate"] if module == "cli" else []
+    assert list(calls_in(tree, "validate")) == expected
 
 
 def per_layer_targets():

@@ -64,6 +64,35 @@ class TestNonFiniteInstrument:
         assert err.count("\n") == 1
 
 
+class TestValidatedOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover", "family:projective"],
+            ["analyze", "FILE"],
+            ["holevo", "FILE", "--trials", "5"],
+            ["validate", "FILE"],
+        ],
+        ids=["recover-family", "analyze-file", "holevo-file", "validate-file"],
+    )
+    def test_one_validation_per_command(self, capsys, tmp_path, validations, argv):
+        path = tmp_path / "instrument.json"
+        path.write_text(ib.dumps_instrument(ib.random_instrument(1, 2, 2, 2, 2)))
+        code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+        assert (code, err) == (0, "")
+        assert len(validations) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_boolean_dimensions_are_a_parse_error(capsys, tmp_path, command):
+    doc = {"d_in": True, "d_out": True, "outcomes": [{"label": "0", "kraus": [[[[1, 0]]]]}]}
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert err == "parse error: field 'd_in': expected int, got bool\n"
+
+
 class TestAnalyze:
     def test_projective_table(self, capsys, fixtures_dir):
         code, out, _ = run(

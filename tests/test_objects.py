@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import infobalance as ib
-from conftest import qstate, random_density, random_state
+from conftest import qstate, random_density, random_state, realize_povm
 
 
 @pytest.fixture
@@ -63,6 +65,59 @@ class TestValidate:
         assert report.issues == ("non-finite entries: outcome '0' Kraus 0",)
         with pytest.raises(ib.InvalidInstrument, match="non-finite entries"):
             ib.balance_report(bad, qstate([0.5, 0.5]))
+
+
+class TestValidatedOnce:
+    def test_library_sequence_validates_once(self, validations):
+        instr = ib.random_instrument(3, 3, 2, 3, 2)
+        rng = np.random.default_rng(3)
+        rho = random_state(rng, 3, rank=2)
+        report = ib.balance_report(instr, rho)
+        ib.disturbance_no_outcomes(instr, rho)
+        family = ib.petz_family(instr, rho)
+        ib.fano_bound_check(instr, rho, family)
+        ib.fano_bound_check(instr, rho, family, delta=report.delta)
+        ib.corrected_fidelity(instr, rho, family)
+        inp = ib.purify(rho)
+        ib.holevo_check(inp, instr, 5, 0)
+        encoding = ib.ensemble_from_reference_povm(inp, ib.random_reference_povm(rng, 3))
+        ib.joint_distribution(encoding, instr)
+        ib.povm_of(instr)
+        assert validations == [instr]
+
+    def test_stacks_follow_the_outcomes(self):
+        rng = np.random.default_rng(4)
+        instr = realize_povm(ib.povm_of(ib.random_instrument(4, 3, 3, 3, 1)), rng)
+        assert len({o.multiplicity for o in instr.outcomes}) > 1
+        kraus = [k for o in instr.outcomes for k in o.kraus]
+        assert np.array_equal(instr.kraus_stack, kraus)
+        assert instr.povm_elements.shape == (instr.n_outcomes, 3, 3)
+        for o, element in zip(instr.outcomes, instr.povm_elements):
+            assert np.array_equal(element, o.povm_element())
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda instr: instr.outcomes[0].kraus[0],
+            lambda instr: instr.kraus_stack,
+            lambda instr: instr.povm_elements,
+        ],
+        ids=["outcome-kraus", "kraus-stack", "povm-elements"],
+    )
+    def test_memoised_operators_are_read_only(self, read):
+        instr = ib.random_instrument(5, 2, 2, 2, 2)
+        ib.require_valid(instr)
+        array = read(instr)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 2.0
+
+    def test_replaced_instrument_validates_afresh(self, validations):
+        instr = ib.random_instrument(6, 2, 2, 2, 1)
+        ib.require_valid(instr)
+        wider = dataclasses.replace(instr, d_in=instr.d_in + 1)
+        with pytest.raises(ib.InvalidInstrument, match="dimensions"):
+            ib.require_valid(wider)
+        assert validations == [instr, wider]
 
 
 class TestPovmOf:

@@ -55,6 +55,37 @@ def test_ragged_matrix_rejected():
         ib.loads_instrument(doc)
 
 
+@pytest.mark.parametrize(
+    "load, text, where",
+    [
+        (
+            ib.loads_instrument,
+            '{"d_in": true, "d_out": true, "outcomes": [{"label": "0", "kraus": [[[[1, 0]]]]}]}',
+            "field 'd_in': expected int, got bool",
+        ),
+        (
+            ib.loads_state,
+            '{"labels": [{"name": "Q", "dim": true}], "matrix": [[[1, 0]]]}',
+            r"field 'labels\[0\].dim': expected int, got bool",
+        ),
+        (
+            ib.loads_povm,
+            '{"d": true, "elements": [{"label": "0", "matrix": [[[1, 0]]]}]}',
+            "field 'd': expected int, got bool",
+        ),
+        (
+            ib.loads_instrument,
+            '{"d_in": 1, "d_out": 1, "outcomes": [{"label": "0", "kraus": [[[[true, false]]]]}]}',
+            r"complex entries are \[re, im\]",
+        ),
+    ],
+    ids=["instrument-dims", "state-dim", "povm-dim", "kraus-entry"],
+)
+def test_boolean_is_not_a_number(load, text, where):
+    with pytest.raises(ib.ParseError, match=where):
+        load(text)
+
+
 def test_state_round_trip():
     rng = np.random.default_rng(3)
     state = random_state(rng, 3)
