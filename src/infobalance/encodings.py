@@ -22,10 +22,10 @@ from .objects import (
     Povm,
     PurifiedInput,
     _check_povm_stack,
-    _hermitian,
     check_povm,
     require_valid,
 )
+from .tensors import _hermitian
 
 #: slack allowed when comparing classical mutual information against iota
 HOLEVO_ATOL = 1e-9

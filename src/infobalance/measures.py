@@ -18,7 +18,10 @@ Kraus operator.
 
 The joint state on [R, Qp, App, X] is never built: every quantity is an
 average over outcomes of small per-outcome spectra, each evaluated by two
-routes that share no matrix (see ``_Analysis``).  Negative round-off is
+routes that share no matrix (see ``_Analysis``).  Each route has its own
+kernel, a stacked SVD (``_schmidt_entropies``) or a stacked ``eigvalsh``
+(``_state_entropies``), so a kind of spectrum costs one ``numpy.linalg`` call
+per outcome multiplicity, not one per outcome.  Negative round-off is
 clipped to zero only for quantities that are provably nonnegative.  The
 reference module :mod:`infobalance.dilation` builds the joint state instead.
 """
@@ -26,13 +29,14 @@ reference module :mod:`infobalance.dilation` builds the joint state instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadDistribution, NumericalInconsistency, ZeroProbabilityOutcome
 from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
-from .tensors import ENTROPY_CUTOFF, LabeledState, entropy_bits
+from .tensors import ENTROPY_CUTOFF, LabeledState, _hermitian
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -71,11 +75,47 @@ def shannon_entropy(probs: Sequence[float]) -> float:
 # -- per-measurement analysis --------------------------------------------------
 
 
-def _schmidt_entropy(amplitudes: np.ndarray, p: float) -> float:
-    """Entropy in bits of either marginal of the pure state amplitudes/sqrt(p),
-    whose rows index one part and whose columns index the other."""
-    s = np.linalg.svd(amplitudes, compute_uv=False)
-    return shannon_entropy(s * s / p)
+def _padded(spectra: list[np.ndarray]) -> np.ndarray:
+    """Rows of every ``(B, k)`` array of spectra in one array, zero-padded on
+    the right to the widest ``k``."""
+    out = np.zeros((sum(len(s) for s in spectra), max(s.shape[1] for s in spectra)))
+    row = 0
+    for s in spectra:
+        out[row : row + len(s), : s.shape[1]] = s
+        row += len(s)
+    return out
+
+
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """Minus the sum of x log2 x along each row, entries at or below
+    ENTROPY_CUTOFF counting as exact zeros.  The sum runs left to right, so
+    zero padding never changes a row's value."""
+    x = x.copy()
+    x[x <= ENTROPY_CUTOFF] = 1.0  # 1 log2 1 is an exact zero
+    return -(x * np.log2(x)).cumsum(axis=1)[:, -1]
+
+
+def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p).
+
+    ``splits`` are stacks ``(B, rows, cols)`` of amplitude matrices, one
+    stacked SVD each; ``probs`` holds the norms² p of all their matrices in
+    order.  This is the purification side's kernel.
+    """
+    s = _padded([np.linalg.svd(a, compute_uv=False) for a in splits])
+    x = s * s / probs[:, None]
+    if np.any(np.abs(x.sum(axis=1) - 1.0) > 1e-9):
+        raise BadDistribution("probabilities must be nonnegative and sum to 1")
+    # adding 0.0 turns the -0.0 of a pure marginal into 0.0
+    return _entropy_rows(x) + 0.0
+
+
+def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
+    """Von Neumann entropy in bits of each (sub)normalized PSD matrix in the
+    stacks ``(B, d, d)``, one stacked ``eigvalsh`` each.  This is the state
+    side's kernel."""
+    s = _entropy_rows(_padded([np.linalg.eigvalsh(_hermitian(m)) for m in stacks]))
+    return np.where((s >= -1e-9) & (s < 0.0), 0.0, s)
 
 
 class _Analysis:
@@ -85,62 +125,128 @@ class _Analysis:
     amplitudes T_m[k, r, q] = (psi E_{m,k}^T)[r, q], and the register X is
     classical, so every quantity is a p_m-average of S(R|m), S(Qp|m) and
     S(App|m).  The purification side reads them from the singular values of
-    T_m split three ways.  The state side reads them from the reference
-    ensemble member psi P_m^T psi† / p_m, the posterior E_m(rho) / p_m and
-    the entropy-exchange matrix W_m[k, k'] = Tr(E_k rho E_k'†) / p_m
-    (Schumacher, PRA 54, 2614, 1996).  The two sides share no matrix, so
-    every comparison between them is a numerical cross-check.
+    T_m split three ways (:func:`_schmidt_entropies`).  The state side reads
+    them from the reference ensemble member psi P_m^T psi† / p_m, the
+    posterior E_m(rho) / p_m and the entropy-exchange matrix
+    W_m[k, k'] = Tr(E_k rho E_k'†) / p_m (Schumacher, PRA 54, 2614, 1996;
+    :func:`_state_entropies`).  The two sides share no matrix, so every
+    comparison between them is a numerical cross-check.
+
+    The constructor does the whole-instrument part only, which is all that
+    :meth:`disturbance_no_outcomes` reads.  The per-outcome part (``probs``,
+    ``weights``, ``pure_side``, ``state_side`` and ``s_reference``) is
+    computed on first use, over the outcomes of probability above PROB_EPS:
+    each kind of spectrum is one stacked call, or one per multiplicity where
+    the matrix shape depends on it (the three splits of T_m, W_m).
     """
 
     def __init__(self, instr: Instrument, rho: LabeledState) -> None:
         require_valid(instr)
         _check_input_state(instr, rho)
-        psi = purify(rho).psi_matrix
-        d_r, d_out, n = psi.shape[0], instr.d_out, instr.n_outcomes
+        self.instr = instr
+        self.psi = psi = purify(rho).psi_matrix
         stacked = instr.kraus_stack
-        amplitudes = psi @ stacked.transpose(0, 2, 1)
+        self.amplitudes = amplitudes = psi @ stacked.transpose(0, 2, 1)
+        self.blocks = []  # (start, multiplicity) of each outcome's Kraus operators
+        start = 0
+        for om in instr.outcomes:
+            self.blocks.append((start, om.multiplicity))
+            start += om.multiplicity
         # S(R) of the whole dilated state, which is S(rho); with one outcome
         # it is bit for bit S(R|m), so iota_m is exactly 0 there
-        self.s_input = _schmidt_entropy(
-            amplitudes.transpose(1, 0, 2).reshape(d_r, -1),
-            float(np.vdot(amplitudes, amplitudes).real),
-        )
+        self.s_input = float(_schmidt_entropies(
+            [amplitudes.transpose(1, 0, 2).reshape(1, len(psi), -1)],
+            np.array([np.vdot(amplitudes, amplitudes).real]),
+        )[0])
         mapped = stacked @ rho.matrix
         flat = stacked.reshape(len(stacked), -1)
         # Tr(E_i rho E_j†) over every pair of Kraus operators of the instrument
         self.exchange = mapped.reshape(flat.shape) @ flat.conj().T
-        self.output = np.zeros((d_out, d_out), dtype=complex)
-        reference = np.zeros((d_r, d_r), dtype=complex)
-        self.probs = np.zeros(n)
-        self.weights = np.zeros(n)  # probs, with excluded outcomes at zero
-        # columns S(R|m), S(Qp|m), S(App|m); rows of excluded outcomes stay 0
-        self.pure_side = np.zeros((n, 3))
-        self.state_side = np.zeros((n, 3))
-        start = 0
-        for idx, (om, element) in enumerate(zip(instr.outcomes, instr.povm_elements)):
-            block = slice(start, start + om.multiplicity)
-            start += om.multiplicity
-            posterior = (mapped[block] @ stacked[block].conj().transpose(0, 2, 1)).sum(axis=0)
-            self.output += posterior
-            t = amplitudes[block]
-            p = float(np.vdot(t, t).real)
-            self.probs[idx] = p
-            if p <= PROB_EPS:
-                continue
-            self.weights[idx] = p
-            self.pure_side[idx] = (
-                _schmidt_entropy(t.transpose(1, 0, 2).reshape(d_r, -1), p),
-                _schmidt_entropy(t.transpose(2, 0, 1).reshape(d_out, -1), p),
-                _schmidt_entropy(t.reshape(om.multiplicity, -1), p),
-            )
-            member = psi @ element.T @ psi.conj().T
-            reference += member
-            self.state_side[idx] = (
-                entropy_bits(member / p),
-                entropy_bits(posterior / p),
-                entropy_bits(self.exchange[block, block] / p),
-            )
-        self.s_reference = entropy_bits(reference)
+        self.posteriors = np.add.reduceat(
+            mapped @ stacked.conj().transpose(0, 2, 1), [b for b, _ in self.blocks]
+        )
+        self.output = self.posteriors.sum(axis=0)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        t = self.amplitudes
+        return np.array([np.vdot(t[b : b + k], t[b : b + k]).real for b, k in self.blocks])
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``probs``, with outcomes of probability at or below PROB_EPS at zero."""
+        return np.where(self.probs > PROB_EPS, self.probs, 0.0)
+
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(outcome indices, their Kraus indices ``(B, mult)``) for each
+        multiplicity among the outcomes of positive weight."""
+        groups: dict[int, list[int]] = {}
+        for idx, (_, k) in enumerate(self.blocks):
+            if self.weights[idx] > 0.0:
+                groups.setdefault(k, []).append(idx)
+        return [
+            (np.array(idx), np.array([self.blocks[i][0] for i in idx])[:, None] + np.arange(k))
+            for k, idx in groups.items()
+        ]
+
+    @cached_property
+    def _live(self) -> np.ndarray:
+        """Indices of the outcomes of positive weight, group by group."""
+        return np.concatenate([idx for idx, _ in self._groups])
+
+    def _per_outcome(self, entropies: np.ndarray) -> np.ndarray:
+        """Rows S(R|m), S(Qp|m), S(App|m) from ``entropies`` laid out as
+        [R, Qp, App] blocks, each in ``_live`` order; rows of excluded
+        outcomes stay 0."""
+        out = np.zeros((len(self.probs), 3))
+        out[self._live] = entropies.reshape(3, -1).T
+        return out
+
+    @cached_property
+    def pure_side(self) -> np.ndarray:
+        """S(R|m), S(Qp|m), S(App|m) from the singular values of T_m."""
+        d_r, d_out = self.amplitudes.shape[1:]
+        r_splits, q_splits, a_splits, probs = [], [], [], []
+        for idx, kraus in self._groups:
+            t = self.amplitudes[kraus]  # (B, mult, d_r, d_out)
+            r_splits.append(t.transpose(0, 2, 1, 3).reshape(len(idx), d_r, -1))
+            q_splits.append(t.transpose(0, 3, 1, 2).reshape(len(idx), d_out, -1))
+            a_splits.append(t.reshape(*kraus.shape, -1))
+            probs.append(self.probs[idx])
+        probs = np.concatenate(probs * 3)
+        return self._per_outcome(_schmidt_entropies(r_splits + q_splits + a_splits, probs))
+
+    @cached_property
+    def _state(self) -> tuple[np.ndarray, float]:
+        """``state_side`` and ``s_reference``, from one stacked ``eigvalsh`` of
+        the reference members with their sum, one of the posteriors and one of
+        the exchange blocks of each multiplicity."""
+        live = self._live
+        p = self.probs[live][:, None, None]
+        elements = self.instr.povm_elements[live].transpose(0, 2, 1)
+        members = self.psi @ elements @ self.psi.conj().T
+        blocks = [
+            self.exchange[kraus[:, :, None], kraus[:, None, :]] / self.probs[idx][:, None, None]
+            for idx, kraus in self._groups
+        ]
+        s = _state_entropies(
+            [np.concatenate([members / p, members.sum(axis=0)[None]]),
+             self.posteriors[live] / p, *blocks]
+        )
+        n = len(live)
+        return self._per_outcome(np.concatenate([s[:n], s[n + 1 :]])), float(s[n])
+
+    @property
+    def state_side(self) -> np.ndarray:
+        """S(R|m), S(Qp|m), S(App|m) from the members, posteriors and
+        exchange blocks."""
+        return self._state[0]
+
+    @property
+    def s_reference(self) -> float:
+        """S(R) of the reference ensemble's average, sum_m psi P_m^T psi†."""
+        return self._state[1]
 
     def iota_routes(self) -> tuple[float, float]:
         """(purification route, chi route of the reference ensemble)."""
@@ -163,7 +269,8 @@ class _Analysis:
         return _clip_nonneg(route_a), _clip_nonneg(route_b)
 
     def disturbance_no_outcomes(self) -> float:
-        return self.s_input - entropy_bits(self.output) + entropy_bits(self.exchange)
+        s_output, s_exchange = _state_entropies([self.output[None], self.exchange[None]])
+        return float(self.s_input - s_output + s_exchange)
 
     def groenewold(self) -> float:
         return float(self.s_input - self.weights @ self.state_side[:, 1])

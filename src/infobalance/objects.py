@@ -25,17 +25,12 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .tensors import LabeledState, Subsystem, eig_hermitian
+from .tensors import LabeledState, Subsystem, _hermitian, _read_only, eig_hermitian
 
 #: max deviation tolerated for trace preservation / POVM completeness
 TP_ATOL = 1e-8
 #: outcomes with probability at or below this are treated as never occurring
 PROB_EPS = 1e-12
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
 
 
 def _operator(matrix) -> np.ndarray:
@@ -167,10 +162,12 @@ def validate(instr: Instrument) -> ValidationReport:
 
     outcome_excess: dict[str, float] = {}
     total = np.zeros((instr.d_in, instr.d_in), dtype=complex)
-    for o, p_el in zip(instr.outcomes, instr.povm_elements):
+    # eigh, not eigvalsh: its largest eigenvalues are bit for bit those of
+    # eig_hermitian on each element, so outcome_excess prints unchanged
+    top = np.linalg.eigh(_hermitian(instr.povm_elements))[0][:, -1]
+    for o, p_el, w_max in zip(instr.outcomes, instr.povm_elements, top.tolist()):
         total += p_el
-        w, _ = eig_hermitian(p_el)
-        excess = float(w[0]) - 1.0 if w.size else -1.0
+        excess = w_max - 1.0
         outcome_excess[o.label] = excess
         if excess > TP_ATOL:
             issues.append(
@@ -223,11 +220,6 @@ def check_povm(povm: Povm, atol: float = TP_ATOL) -> None:
     """Raise :class:`InvalidPovm` unless elements are PSD and complete."""
     stack = np.reshape([m for _, m in povm.elements], (-1, povm.d, povm.d))
     _check_povm_stack(stack, povm.labels, atol)
-
-
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    """Hermitian part of each matrix in a stack ``(..., d, d)``."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:

@@ -5,7 +5,8 @@ For every outcome the transpose (Petz) channel
 is built, completed to trace preservation by sending the kernel of E_m(rho)
 to rho.  An instrument's validation report is computed once, on first use;
 a call decomposes rho once (its square root and re-preparation vectors) and
-each posterior E_m(rho) once (inverse square root on the support, kernel).
+the posteriors E_m(rho) once, in one stacked ``eigh`` (inverse square root on
+the support, kernel).
 The corrected channel sum_m R_m ∘ E_m has entanglement fidelity
 F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², summed with one product
 per outcome; :func:`infobalance.dilation.entanglement_fidelity` of the
@@ -58,18 +59,22 @@ def _reprepare_kraus(roots, vectors, onto: np.ndarray) -> list[np.ndarray]:
     return [s * np.outer(v, k.conj()) for s, v in zip(roots, vectors.T) for k in onto.T]
 
 
-def _transpose_channel(om, rho: np.ndarray, spectrum) -> tuple[float, tuple | None]:
-    """p_m and the transpose channel of outcome ``om``, completed by
-    re-preparing ``rho`` on the kernel of E_m(rho); None when p_m ~ 0."""
-    sigma = om.apply(rho)
-    p = float(np.trace(sigma).real)
-    if p <= PROB_EPS:
-        return p, None
+def _transpose_channels(outcomes, rho: np.ndarray, spectrum) -> list[tuple | None]:
+    """The transpose channel of each outcome, completed by re-preparing
+    ``rho`` on the kernel of E_m(rho); None where p_m ~ 0.  The posteriors
+    of the other outcomes are decomposed by one stacked ``eigh``."""
+    sigmas = [om.apply(rho) for om in outcomes]
+    live = [i for i, sigma in enumerate(sigmas) if float(np.trace(sigma).real) > PROB_EPS]
+    channels: list[tuple | None] = [None] * len(outcomes)
+    if not live:
+        return channels
     sqrt_rho, roots, vectors = spectrum
-    inv_sqrt, w, v = _on_support_eigh(sigma, lambda x: x ** -0.5)
-    recovery = [sqrt_rho @ e.conj().T @ inv_sqrt for e in om.kraus]
-    recovery += _reprepare_kraus(roots, vectors, v[:, w <= SUPPORT_CUTOFF])
-    return p, tuple(recovery)
+    inv_sqrt, w, v = _on_support_eigh(np.stack([sigmas[i] for i in live]), lambda x: x ** -0.5)
+    for j, i in enumerate(live):
+        recovery = [sqrt_rho @ e.conj().T @ inv_sqrt[j] for e in outcomes[i].kraus]
+        recovery += _reprepare_kraus(roots, vectors, v[j][:, w[j] <= SUPPORT_CUTOFF])
+        channels[i] = tuple(recovery)
+    return channels
 
 
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
@@ -78,8 +83,9 @@ def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[n
     require_valid(instr)
     _check_input_state(instr, rho)
     om = instr.outcome(outcome)
-    p, kraus = _transpose_channel(om, rho.matrix, _input_spectrum(rho.matrix))
+    [kraus] = _transpose_channels([om], rho.matrix, _input_spectrum(rho.matrix))
     if kraus is None:
+        p = float(np.trace(om.apply(rho.matrix)).real)
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
     return kraus
 
@@ -94,8 +100,7 @@ def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     _check_input_state(instr, rho)
     spectrum = _input_spectrum(rho.matrix)
     channels, flags = [], []
-    for om in instr.outcomes:
-        _, kraus = _transpose_channel(om, rho.matrix, spectrum)
+    for om, kraus in zip(instr.outcomes, _transpose_channels(instr.outcomes, rho.matrix, spectrum)):
         flags.append(kraus is None or len(kraus) > om.multiplicity)
         channels.append(kraus or tuple(_reprepare_kraus(*spectrum[1:], np.eye(instr.d_out))))
     return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))

@@ -3,8 +3,10 @@
 A :class:`LabeledState` is a density operator tagged with an ordered list of
 named subsystems, so partial traces and reduced states can be requested by
 name instead of by axis arithmetic; only :mod:`infobalance.dilation` does.
-:func:`entropy_bits` is the engine's entropy kernel.  Everything here is a
-pure function of its inputs; matrices are copied and frozen at construction.
+:func:`entropy_bits` is the entropy of one matrix; the engine in
+:mod:`infobalance.measures` runs its own stacked kernels.  Everything here is
+a pure function of its inputs; matrices are copied and frozen at
+construction.
 """
 
 from __future__ import annotations
@@ -47,6 +49,18 @@ class Subsystem:
             raise InvalidState("subsystem name must be a nonempty string")
         if int(self.dim) < 1:
             raise InvalidState(f"subsystem {self.name!r} has dimension {self.dim}")
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """A read-only view of ``m`` over a read-only base, so that no caller can
+    make it writeable again with ``setflags(write=True)``."""
+    m.setflags(write=False)
+    return m.view()
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of each matrix in a stack ``(..., d, d)``."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _square_complex(matrix) -> np.ndarray:
@@ -108,9 +122,8 @@ class LabeledState:
                     raise InvalidState(f"subnormalized trace {tr} exceeds 1")
             elif abs(tr - 1.0) > _TRACE_ATOL:
                 raise InvalidState(f"trace = {tr}, expected 1")
-        m.setflags(write=False)
         self.labels = labels
-        self.matrix = m
+        self.matrix = _read_only(m)
         self.subnormalized = subnormalized
 
     @property
@@ -210,13 +223,20 @@ def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
 
 
 def _on_support_eigh(matrix, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``func_on_support(matrix, f)`` and the ascending ``eigh`` it came from."""
-    m = _square_complex(matrix)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w.size and float(w[0]) < -1e-8:
-        raise NegativeEigenvalue(f"min eigenvalue {w[0]:.3e} below -1e-8")
+    """``func_on_support(matrix, f)`` and the ascending ``eigh`` it came from.
+
+    ``matrix`` may also be a stack ``(B, d, d)``, decomposed by one stacked
+    ``eigh``; each result is then bit for bit that of its own matrix.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    w, v = np.linalg.eigh(_hermitian(m))
+    low = w[..., :1].reshape(-1)
+    if np.any(low < -1e-8):
+        raise NegativeEigenvalue(f"min eigenvalue {low[low < -1e-8][0]:.3e} below -1e-8")
     fw = np.zeros_like(w)
     mask = w > SUPPORT_CUTOFF
     if np.any(mask):
         fw[mask] = f(w[mask])
-    return (v * fw) @ v.conj().T, w, v
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v

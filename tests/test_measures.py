@@ -288,6 +288,20 @@ class TestSingleOutcome:
         with pytest.raises(ib.ZeroProbabilityOutcome):
             ib.single_outcome_quantities(ib.filter_family(1.0), qstate([0.0, 1.0]), "1")
 
+    def test_one_outcome_gains_exactly_nothing(self):
+        # S(rho) and S(R|m) of a lone outcome come from the same matrix and
+        # the same kernel, so iota_m is 0.0 exactly, not merely ~0; d_out up
+        # to 8 pads the R spectrum, which must not change its entropy
+        rng = np.random.default_rng(12)
+        for seed in range(60):
+            d_in, d_out, mult = 2 + seed % 5, 1 + seed % 8, 1 + seed % 3
+            if d_out * mult < d_in:
+                d_out = -(-d_in // mult)
+            instr = ib.random_instrument(seed, d_in, d_out, 1, mult)
+            rho = random_state(rng, d_in, rank=1 + seed % d_in)
+            [row] = ib.balance_report(instr, rho).per_outcome
+            assert row.iota_m == 0.0, (seed, d_in, d_out, mult)
+
     @given(st.integers(0, 10**6))
     def test_single_outcome_balance(self, seed):
         rng = np.random.default_rng(seed)
@@ -463,20 +477,53 @@ class TestDenseReference:
 
 
 class TestRouteIndependence:
-    @pytest.mark.parametrize("helper", ["entropy_bits", "shannon_entropy"])
-    def test_one_perturbed_route_is_caught(self, monkeypatch, helper):
-        # entropy_bits serves only the state side, shannon_entropy only the
-        # purification side; a shift of one side must break the balance
+    @pytest.mark.parametrize("kernel", ["_state_entropies", "_schmidt_entropies"])
+    def test_one_perturbed_route_is_caught(self, monkeypatch, kernel):
+        # the eigvalsh kernel serves only the state side, the SVD kernel only
+        # the purification side; a shift of one side must break the balance
         instr = ib.random_instrument(3, 3, 2, 3, 2)
         rho = random_state(np.random.default_rng(3), 3)
         ib.balance_report(instr, rho)
-        exact = getattr(measures, helper)
-        monkeypatch.setattr(measures, helper, lambda m: exact(m) + 1e-6)
+        exact = getattr(measures, kernel)
+        monkeypatch.setattr(measures, kernel, lambda *args: exact(*args) + 1e-6)
         with pytest.raises(ib.NumericalInconsistency):
             ib.balance_report(instr, rho)
         for label in instr.outcome_labels:
             iota_m, delta_m, noise_m = ib.single_outcome_quantities(instr, rho, label)
             assert abs(iota_m + noise_m - delta_m) == pytest.approx(1e-6, abs=1e-9)
+
+
+class TestCallBudget:
+    """numpy.linalg calls per entry point, counted rather than timed: each
+    kind of spectrum is one stacked call, and the outcome-averaged
+    disturbance makes no per-outcome call at all."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+        for name in counts:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.fixture
+    def pair(self, calls):
+        instr = ib.random_instrument(4, 4, 3, 3, 2)  # d_in 4, d_out 3, n 3, mult 2
+        ib.require_valid(instr)
+        rho = random_state(np.random.default_rng(4), 4, rank=3)
+        for name in calls:
+            calls[name] = 0
+        return instr, rho
+
+    def test_balance_report(self, pair, calls):
+        ib.balance_report(*pair)
+        assert calls["eigh"] <= 1 and calls["svd"] <= 4 and calls["eigvalsh"] <= 4, calls
+
+    def test_disturbance_no_outcomes(self, pair, calls):
+        ib.disturbance_no_outcomes(*pair)
+        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 1}
 
 
 def sliced_instrument(rng, d_in, d_out, mults):

@@ -111,6 +111,23 @@ class TestValidatedOnce:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 2.0
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda instr, rho: instr.outcomes[0].kraus[0],
+            lambda instr, rho: instr.kraus_stack,
+            lambda instr, rho: instr.povm_elements,
+            lambda instr, rho: ib.purify(rho).psi,
+            lambda instr, rho: rho.matrix,
+        ],
+        ids=["outcome-kraus", "kraus-stack", "povm-elements", "purified-psi", "state-matrix"],
+    )
+    def test_read_only_arrays_cannot_be_made_writeable(self, read):
+        instr = ib.random_instrument(5, 2, 2, 2, 2)
+        rho = random_state(np.random.default_rng(5), 2)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            read(instr, rho).setflags(write=True)
+
     def test_replaced_instrument_validates_afresh(self, validations):
         instr = ib.random_instrument(6, 2, 2, 2, 1)
         ib.require_valid(instr)
