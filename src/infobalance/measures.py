@@ -104,7 +104,7 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
     """
     s = _padded([np.linalg.svd(a, compute_uv=False) for a in splits])
     x = s * s / probs[:, None]
-    if np.any(np.abs(x.sum(axis=1) - 1.0) > 1e-9):
+    if (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
         raise BadDistribution("probabilities must be nonnegative and sum to 1")
     # adding 0.0 turns the -0.0 of a pure marginal into 0.0
     return _entropy_rows(x) + 0.0
@@ -115,7 +115,8 @@ def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
     stacks ``(B, d, d)``, one stacked ``eigvalsh`` each.  This is the state
     side's kernel."""
     s = _entropy_rows(_padded([np.linalg.eigvalsh(_hermitian(m)) for m in stacks]))
-    return np.where((s >= -1e-9) & (s < 0.0), 0.0, s)
+    s[(s >= -1e-9) & (s < 0.0)] = 0.0
+    return s
 
 
 class _Analysis:
