@@ -62,7 +62,7 @@ def _reprepare_kraus(roots, vectors, onto: np.ndarray) -> list[np.ndarray]:
 def _transpose_channels(outcomes, rho: np.ndarray, spectrum) -> list[tuple | None]:
     """The transpose channel of each outcome, completed by re-preparing
     ``rho`` on the kernel of E_m(rho); None where p_m ~ 0.  The posteriors
-    of the other outcomes are decomposed by one stacked ``eigh``."""
+    of the outcomes that occur are decomposed by one stacked ``eigh``."""
     sigmas = [om.apply(rho) for om in outcomes]
     live = [i for i, sigma in enumerate(sigmas) if float(np.trace(sigma).real) > PROB_EPS]
     channels: list[tuple | None] = [None] * len(outcomes)
