@@ -21,22 +21,25 @@ average over outcomes of small per-outcome spectra, each evaluated by two
 routes that share no matrix (see ``_Analysis``).  Each route has its own
 kernel, a stacked SVD (``_schmidt_entropies``) or a stacked ``eigvalsh``
 (``_state_entropies``), so a kind of spectrum costs one ``numpy.linalg`` call
-per outcome multiplicity, not one per outcome.  Negative round-off is
-clipped to zero only for quantities that are provably nonnegative.  The
-reference module :mod:`infobalance.dilation` builds the joint state instead.
+per outcome multiplicity, not one per outcome.  The analysis of the last
+(instrument, state) pair is kept, so the entry points here and in
+:mod:`infobalance.recovery` share one purification, one decomposition of rho
+and one set of spectra per pair.  Negative round-off is clipped to zero only
+for quantities that are provably nonnegative.  The reference module
+:mod:`infobalance.dilation` builds the joint state instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadDistribution, NumericalInconsistency, ZeroProbabilityOutcome
-from .objects import PROB_EPS, Instrument, _check_input_state, purify, require_valid
-from .tensors import ENTROPY_CUTOFF, LabeledState, _hermitian
+from .objects import PROB_EPS, Instrument, _check_input_state, _purification, require_valid
+from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -133,40 +136,74 @@ class _Analysis:
     :func:`_state_entropies`).  The two sides share no matrix, so every
     comparison between them is a numerical cross-check.
 
-    The constructor does the whole-instrument part only, which is all that
-    :meth:`disturbance_no_outcomes` reads.  The per-outcome part (``probs``,
-    ``weights``, ``pure_side``, ``state_side`` and ``s_reference``) is
-    computed on first use, over the outcomes of probability above PROB_EPS:
+    The constructor only checks the pair; every other part is computed on
+    first use and kept, so an entry point computes only what it reads and a
+    pair decomposes rho once (``rho_eigh``, read by the purification and by
+    the Petz recovery of :mod:`infobalance.recovery`).  The per-outcome part
+    (``probs``, ``weights``, ``pure_side``, ``state_side`` and
+    ``s_reference``) covers the outcomes of probability above PROB_EPS;
     each kind of spectrum is one stacked call, or one per multiplicity where
-    the matrix shape depends on it (the three splits of T_m, W_m).
+    the matrix shape depends on it (the three splits of T_m, W_m).  Entry
+    points reach the analysis through :func:`_analysis`.
     """
 
     def __init__(self, instr: Instrument, rho: LabeledState) -> None:
         require_valid(instr)
         _check_input_state(instr, rho)
         self.instr = instr
-        self.psi = psi = purify(rho).psi_matrix
-        stacked = instr.kraus_stack
-        self.amplitudes = amplitudes = psi @ stacked.transpose(0, 2, 1)
-        self.blocks = []  # (start, multiplicity) of each outcome's Kraus operators
-        start = 0
-        for om in instr.outcomes:
-            self.blocks.append((start, om.multiplicity))
+        self.rho = rho
+
+    @cached_property
+    def rho_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending ``eigh`` of rho, the pair's one decomposition of it."""
+        return np.linalg.eigh(_hermitian(self.rho.matrix))
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """Coefficient matrix of the purification of rho, as :func:`purify`."""
+        return _purification(self.rho, *_descending(*self.rho_eigh)).psi_matrix
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, int]]:
+        """(start, multiplicity) of each outcome's Kraus operators in the stack."""
+        blocks, start = [], 0
+        for om in self.instr.outcomes:
+            blocks.append((start, om.multiplicity))
             start += om.multiplicity
-        # S(R) of the whole dilated state, which is S(rho); with one outcome
-        # it is bit for bit S(R|m), so iota_m is exactly 0 there
-        self.s_input = float(_schmidt_entropies(
-            [amplitudes.transpose(1, 0, 2).reshape(1, len(psi), -1)],
-            np.array([np.vdot(amplitudes, amplitudes).real]),
+        return blocks
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return self.psi @ self.instr.kraus_stack.transpose(0, 2, 1)
+
+    @cached_property
+    def s_input(self) -> float:
+        """S(R) of the whole dilated state, which is S(rho); with one outcome
+        it is bit for bit S(R|m), so iota_m is exactly 0 there."""
+        t = self.amplitudes
+        return float(_schmidt_entropies(
+            [t.transpose(1, 0, 2).reshape(1, len(self.psi), -1)],
+            np.array([np.vdot(t, t).real]),
         )[0])
-        mapped = stacked @ rho.matrix
+
+    @cached_property
+    def mapped(self) -> np.ndarray:
+        """E_k rho for every Kraus operator, ``(K, d_out, d_in)``."""
+        return self.instr.kraus_stack @ self.rho.matrix
+
+    @cached_property
+    def exchange(self) -> np.ndarray:
+        """Tr(E_i rho E_j†) over every pair of Kraus operators of the instrument."""
+        stacked = self.instr.kraus_stack
         flat = stacked.reshape(len(stacked), -1)
-        # Tr(E_i rho E_j†) over every pair of Kraus operators of the instrument
-        self.exchange = mapped.reshape(flat.shape) @ flat.conj().T
-        self.posteriors = np.add.reduceat(
-            mapped @ stacked.conj().transpose(0, 2, 1), [b for b, _ in self.blocks]
+        return self.mapped.reshape(flat.shape) @ flat.conj().T
+
+    @cached_property
+    def posteriors(self) -> np.ndarray:
+        return np.add.reduceat(
+            self.mapped @ self.instr.kraus_stack.conj().transpose(0, 2, 1),
+            [b for b, _ in self.blocks],
         )
-        self.output = self.posteriors.sum(axis=0)
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -270,7 +307,8 @@ class _Analysis:
         return _clip_nonneg(route_a), _clip_nonneg(route_b)
 
     def disturbance_no_outcomes(self) -> float:
-        s_output, s_exchange = _state_entropies([self.output[None], self.exchange[None]])
+        output = self.posteriors.sum(axis=0)
+        s_output, s_exchange = _state_entropies([output[None], self.exchange[None]])
         return float(self.s_input - s_output + s_exchange)
 
     def groenewold(self) -> float:
@@ -283,6 +321,18 @@ class _Analysis:
         state_r, state_q, state_a = self.state_side[idx].tolist()
         noise_m = _clip_nonneg(state_r + state_a - state_q)
         return self.s_input - s_r, self.s_input - s_q + s_a, noise_m
+
+
+@lru_cache(maxsize=1)
+def _analysis(instr: Instrument, rho: LabeledState) -> _Analysis:
+    """The analysis of the pair, kept until a call asks for another pair.
+
+    Instruments and states compare by identity and cannot be changed, so a
+    kept analysis is never stale; it is the one place where the per-pair
+    entry points of this module and of :mod:`infobalance.recovery` share
+    their work.
+    """
+    return _Analysis(instr, rho)
 
 
 def _require_agree(name: str, a: float, b: float) -> None:
@@ -299,14 +349,14 @@ def information_gain(instr: Instrument, rho: LabeledState) -> float:
     and as the chi quantity of the POVM-induced reference ensemble; the two
     must agree within 1e-9.  Depends on the instrument only through its POVM.
     """
-    a, b = _Analysis(instr, rho).iota_routes()
+    a, b = _analysis(instr, rho).iota_routes()
     _require_agree("information gain", a, b)
     return a
 
 
 def disturbance(instr: Instrument, rho: LabeledState) -> float:
     """Disturbance delta in bits, with the outcome register kept."""
-    a, b = _Analysis(instr, rho).delta_routes()
+    a, b = _analysis(instr, rho).delta_routes()
     _require_agree("disturbance", a, b)
     return a
 
@@ -314,13 +364,13 @@ def disturbance(instr: Instrument, rho: LabeledState) -> float:
 def disturbance_no_outcomes(instr: Instrument, rho: LabeledState) -> float:
     """Disturbance of the outcome-averaged channel; >= disturbance by data
     processing, and a strictly looser figure whenever outcomes help."""
-    return _Analysis(instr, rho).disturbance_no_outcomes()
+    return _analysis(instr, rho).disturbance_no_outcomes()
 
 
 def noise_delta(instr: Instrument, rho: LabeledState) -> float:
     """Missing information Delta = I(R:App|X) in bits; zero iff every outcome
     leaves reference and apparatus in a product state."""
-    a, b = _Analysis(instr, rho).noise_routes()
+    a, b = _analysis(instr, rho).noise_routes()
     _require_agree("missing information", a, b)
     return a
 
@@ -331,7 +381,7 @@ def groenewold_gain(instr: Instrument, rho: LabeledState) -> float:
     Unlike the information gain this depends on the particular state
     reduction maps and can be negative.
     """
-    return _Analysis(instr, rho).groenewold()
+    return _analysis(instr, rho).groenewold()
 
 
 def single_outcome_quantities(
@@ -342,7 +392,7 @@ def single_outcome_quantities(
     iota_m and delta_m may be negative; noise_m is a mutual information and
     is not.  They satisfy iota_m + noise_m = delta_m.
     """
-    ctx = _Analysis(instr, rho)
+    ctx = _analysis(instr, rho)
     idx = instr.outcome_index(outcome)
     if float(ctx.probs[idx]) <= PROB_EPS:
         raise ZeroProbabilityOutcome(
@@ -411,7 +461,7 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
     Outcomes with probability at or below 1e-12 are excluded from the table;
     their total weight is reported, never silently renormalized.
     """
-    ctx = _Analysis(instr, rho)
+    ctx = _analysis(instr, rho)
     iota_a, iota_b = ctx.iota_routes()
     delta_a, delta_b = ctx.delta_routes()
     noise_a, noise_b = ctx.noise_routes()

@@ -312,7 +312,12 @@ class PurifiedInput:
 
 def purify(rho: LabeledState) -> PurifiedInput:
     """Canonical purification sum_i sqrt(lam_i) |i>_R |v_i>_Q of ``rho``."""
-    w, v = eig_hermitian(rho.matrix)
+    return _purification(rho, *eig_hermitian(rho.matrix))
+
+
+def _purification(rho: LabeledState, w: np.ndarray, v: np.ndarray) -> PurifiedInput:
+    """:func:`purify` from the eigenvalues ``w`` of ``rho`` in descending
+    order and their eigenvectors, the columns of ``v``."""
     w = np.clip(w, 0.0, None)
     psi = np.sqrt(w)[:, None] * v.T
     return PurifiedInput(rho=rho, psi=psi.reshape(-1), r_dim=rho.dim)

@@ -3,14 +3,17 @@
 For every outcome the transpose (Petz) channel
 ``sigma -> rho^{1/2} E† (E_m(rho))^{-1/2} sigma (E_m(rho))^{-1/2} E rho^{1/2}``
 is built, completed to trace preservation by sending the kernel of E_m(rho)
-to rho.  An instrument's validation report is computed once, on first use;
-a call decomposes rho once (its square root and re-preparation vectors) and
-the posteriors E_m(rho) once, in one stacked ``eigh`` (inverse square root on
-the support, kernel).
+to rho.  Every function here reads the (instrument, state) pair's analysis
+from :mod:`infobalance.measures`, which the balance shares: an instrument is
+validated once, a pair decomposes rho once (its square root and
+re-preparation vectors here, the purification there) and forms the products
+E_k rho once, and a family decomposes the posteriors E_m(rho) in one
+stacked ``eigh`` (inverse square root on the support, kernel).
 The corrected channel sum_m R_m ∘ E_m has entanglement fidelity
-F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², summed with one product
-per outcome; :func:`infobalance.dilation.entanglement_fidelity` of the
-explicit composite Kraus list is its reference.  Disturbance <= eps
+F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², read from the pair's
+E_k rho with one product per outcome;
+:func:`infobalance.dilation.entanglement_fidelity` of the explicit composite
+Kraus list is its reference.  Disturbance <= eps
 guarantees F >= 1 - 4*sqrt(eps) for this family (the optimal family achieves
 1 - 2*sqrt(eps); the transpose channel is at most quadratically worse), and
 a Fano-type converse bounds the disturbance by a function of the fidelity
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingOutcome, ZeroProbabilityOutcome
-from .measures import binary_entropy, disturbance
-from .objects import PROB_EPS, Instrument, _check_input_state, require_valid
-from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support_eigh
+from .measures import _analysis, binary_entropy, disturbance
+from .objects import PROB_EPS, Instrument
+from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support, _on_support_eigh
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +47,12 @@ class RecoveryFamily:
             raise MissingOutcome(f"family has no channel for outcome {label!r}") from None
 
 
-def _input_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From one decomposition of ``rho``: its square root on the support, and
-    the roots sqrt(w_i) and eigenvectors v_i of its eigenvalues above
-    PROB_EPS, from which a channel re-prepares ``rho``."""
-    sqrt_rho, w, v = _on_support_eigh(rho, np.sqrt)
+def _input_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From the ascending ``eigh`` ``(w, v)`` of rho: its square root on the
+    support, and the roots sqrt(w_i) and eigenvectors v_i of its eigenvalues
+    above PROB_EPS, from which a channel re-prepares rho."""
     keep = w > PROB_EPS
-    return sqrt_rho, np.sqrt(w[keep]), v[:, keep]
+    return _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
 
 
 def _reprepare_kraus(roots, vectors, onto: np.ndarray) -> list[np.ndarray]:
@@ -80,10 +82,9 @@ def _transpose_channels(outcomes, rho: np.ndarray, spectrum) -> list[tuple | Non
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
     """Transpose-channel recovery for one outcome, completed to trace
     preservation by re-preparing ``rho`` on the kernel of E_m(rho)."""
-    require_valid(instr)
-    _check_input_state(instr, rho)
+    ctx = _analysis(instr, rho)
     om = instr.outcome(outcome)
-    [kraus] = _transpose_channels([om], rho.matrix, _input_spectrum(rho.matrix))
+    [kraus] = _transpose_channels([om], rho.matrix, _input_spectrum(*ctx.rho_eigh))
     if kraus is None:
         p = float(np.trace(om.apply(rho.matrix)).real)
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
@@ -96,9 +97,7 @@ def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     Outcomes of probability ~0 get a pure re-preparation channel so the
     composite corrected channel stays trace preserving.
     """
-    require_valid(instr)
-    _check_input_state(instr, rho)
-    spectrum = _input_spectrum(rho.matrix)
+    spectrum = _input_spectrum(*_analysis(instr, rho).rho_eigh)
     channels, flags = [], []
     for om, kraus in zip(instr.outcomes, _transpose_channels(instr.outcomes, rho.matrix, spectrum)):
         flags.append(kraus is None or len(kraus) > om.multiplicity)
@@ -111,11 +110,9 @@ def corrected_fidelity(
 ) -> float:
     """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m, read
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
-    require_valid(instr)
-    _check_input_state(instr, rho)
+    ctx = _analysis(instr, rho)
     total = 0.0
-    ends = np.cumsum([om.multiplicity for om in instr.outcomes])
-    for om, kraus in zip(instr.outcomes, np.split(instr.kraus_stack, ends[:-1])):
+    for om, (start, k) in zip(instr.outcomes, ctx.blocks):
         if om.label not in family.outcome_labels:
             p = float(np.trace(om.apply(rho.matrix)).real)
             if p > PROB_EPS:
@@ -129,7 +126,7 @@ def corrected_fidelity(
             if r.shape != shape:
                 raise DimensionMismatch(f"recovery Kraus shape {r.shape} is not {shape}")
         # Tr(rho R E) = vec(R) . vec((E rho)^T), without conjugation
-        e_rho_t = (kraus @ rho.matrix).transpose(0, 2, 1).reshape(om.multiplicity, -1)
+        e_rho_t = ctx.mapped[start : start + k].transpose(0, 2, 1).reshape(k, -1)
         amps = np.reshape(recovery, (-1, e_rho_t.shape[1])) @ e_rho_t.T
         total += float(np.sum(np.abs(amps) ** 2))
     return total

@@ -11,7 +11,8 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,8 +78,9 @@ class LabeledState:
     positive semidefinite with min eigenvalue >= -1e-10, and unit trace
     within 1e-10.  ``subnormalized=True`` relaxes the trace condition to
     ``trace <= 1`` for conditional states.  The stored matrix is symmetrized
-    to (M + M†)/2 and made read-only; instances are safe to share between
-    threads.
+    to (M + M†)/2 and made read-only, and the attributes cannot be rebound
+    (:class:`dataclasses.FrozenInstanceError`), so instances are safe to
+    share between threads.
     """
 
     __slots__ = ("labels", "matrix", "subnormalized")
@@ -122,9 +124,20 @@ class LabeledState:
                     raise InvalidState(f"subnormalized trace {tr} exceeds 1")
             elif abs(tr - 1.0) > _TRACE_ATOL:
                 raise InvalidState(f"trace = {tr}, expected 1")
-        self.labels = labels
-        self.matrix = _read_only(m)
-        self.subnormalized = subnormalized
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "subnormalized", subnormalized)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, not by assignment
+        return partial(LabeledState, subnormalized=self.subnormalized, validate=False), (
+            self.labels, self.matrix)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -193,9 +206,11 @@ def eig_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized to (M + M†)/2 before decomposition.
     """
-    m = _square_complex(matrix)
-    m = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(m)
+    return _descending(*np.linalg.eigh(_hermitian(_square_complex(matrix))))
+
+
+def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ascending ``eigh`` ``(w, v)`` reordered to descending eigenvalues."""
     # stable sort keeps the original basis inside degenerate eigenspaces
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
@@ -232,6 +247,12 @@ def _on_support_eigh(matrix, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     w, v = np.linalg.eigh(_hermitian(m))
+    return _on_support(w, v, f), w, v
+
+
+def _on_support(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
+    """``f`` of the matrix (or stack) whose ascending ``eigh`` is ``(w, v)``,
+    applied on the support; the kernel maps to zero."""
     low = w[..., :1].reshape(-1)
     if np.any(low < -1e-8):
         raise NegativeEigenvalue(f"min eigenvalue {low[low < -1e-8][0]:.3e} below -1e-8")
@@ -239,4 +260,4 @@ def _on_support_eigh(matrix, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mask = w > SUPPORT_CUTOFF
     if np.any(mask):
         fw[mask] = f(w[mask])
-    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)

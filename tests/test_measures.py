@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -486,6 +490,8 @@ class TestRouteIndependence:
         ib.balance_report(instr, rho)
         exact = getattr(measures, kernel)
         monkeypatch.setattr(measures, kernel, lambda *args: exact(*args) + 1e-6)
+        # the pair's analysis is kept; compute afresh through the patched kernel
+        measures._analysis.cache_clear()
         with pytest.raises(ib.NumericalInconsistency):
             ib.balance_report(instr, rho)
         for label in instr.outcome_labels:
@@ -524,6 +530,102 @@ class TestCallBudget:
     def test_disturbance_no_outcomes(self, pair, calls):
         ib.disturbance_no_outcomes(*pair)
         assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 1}
+
+    def test_small_sweep_sequence(self, pair, calls):
+        # one analysis serves every call: rho is decomposed once, and the
+        # outcome-averaged disturbance reuses the report's purification
+        report = ib.balance_report(*pair)
+        ib.disturbance_no_outcomes(*pair)
+        family = ib.petz_family(*pair)
+        ib.fano_bound_check(*pair, family, delta=report.delta)
+        assert calls["eigh"] <= 2 and calls["svd"] <= 4 and calls["eigvalsh"] <= 5, calls
+
+    def test_recover_order(self, pair, calls):
+        # CLI recover: the Fano check's disturbance reuses the family's eigh of rho
+        ib.fano_bound_check(*pair, ib.petz_family(*pair))
+        assert calls["eigh"] <= 2 and calls["svd"] <= 4 and calls["eigvalsh"] <= 3, calls
+
+
+def _bits(x):
+    """``x`` with every float and array as its bytes, for bit-for-bit equality."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    if isinstance(x, (tuple, list)):
+        return [_bits(y) for y in x]
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return x
+
+
+#: per-pair entry points, each returning what it computes as plain data
+ENTRY_POINTS = {
+    "report": lambda i, r: ib.balance_report(i, r).to_dict(),
+    "dno": ib.disturbance_no_outcomes,
+    "scalars": lambda i, r: [f(i, r) for f in (
+        ib.information_gain, ib.disturbance, ib.noise_delta, ib.groenewold_gain)],
+    "single": lambda i, r: ib.single_outcome_quantities(i, r, i.outcome_labels[-1]),
+    "petz": lambda i, r: ib.petz_family(i, r).channels,
+    "petz_one": lambda i, r: ib.petz_recovery(i, r, i.outcome_labels[0]),
+    "fidelity": lambda i, r: ib.corrected_fidelity(i, r, ib.petz_family(i, r)),
+    "fano": lambda i, r: vars(ib.fano_bound_check(i, r, ib.petz_family(i, r))),
+}
+
+
+class TestPairMemo:
+    """The engine keeps the last pair's analysis; whatever the order of
+    calls, every result is bit for bit that of a cold call."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from(sorted(ENTRY_POINTS))),
+                 min_size=1, max_size=12),
+    )
+    def test_interleaved_calls_equal_cold_calls(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        instr = ib.random_instrument(int(rng.integers(2**32)), d, 3, 2, 2)
+        rho1, rho2 = random_state(rng, d), random_state(rng, d, rank=1)
+        pairs = [(instr, rho1), (instr, rho2),
+                 (ib.random_instrument(int(rng.integers(2**32)), d, 3, 3, 1), rho1),
+                 (dataclasses.replace(instr), rho1)]
+        warm = [_bits(ENTRY_POINTS[name](*pairs[p])) for p, name in calls]
+        for (p, name), got in zip(calls, warm):
+            measures._analysis.cache_clear()
+            assert got == _bits(ENTRY_POINTS[name](*pairs[p])), (p, name)
+
+    def test_threads_sharing_the_memo_get_cold_results(self):
+        rng = np.random.default_rng(21)
+        instr = ib.random_instrument(21, 3, 3, 2, 2)
+        pairs = [(instr, random_state(rng, 3)), (instr, random_state(rng, 3, rank=2)),
+                 (ib.random_instrument(22, 3, 3, 3, 1), random_state(rng, 3))]
+        names = ("report", "fano", "petz_one", "dno")
+        expected = {}
+        for p, pair in enumerate(pairs):
+            for name in names:
+                measures._analysis.cache_clear()
+                expected[p, name] = _bits(ENTRY_POINTS[name](*pair))
+        wrong = []
+
+        def work(offset):
+            for step in range(40):
+                p, name = (offset + step) % len(pairs), names[step % len(names)]
+                if _bits(ENTRY_POINTS[name](*pairs[p])) != expected[p, name]:
+                    wrong.append((p, name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 def sliced_instrument(rng, d_in, d_out, mults):

@@ -302,11 +302,11 @@ class TestOnePassPerCall:
                     np.testing.assert_array_equal(a, b)
 
     @staticmethod
-    def count_eigensolves(monkeypatch):
+    def count_eigensolves(monkeypatch, names=("eigh", "eigvalsh")):
         calls = []
-        for name in ("eigh", "eigvalsh"):
-            def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
-                calls.append(name)
+        for name in names:
+            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
                 return _solve(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
@@ -323,16 +323,35 @@ class TestOnePassPerCall:
         # n for validation, one for rho, one per posterior
         assert len(calls) <= 2 * instr.n_outcomes + 1
 
-    def test_corrected_fidelity_only_validates(self, monkeypatch):
+    def test_standalone_petz_family_makes_no_svd(self, monkeypatch):
+        instr = ib.random_instrument(2, 3, 3, 3, 2)
+        rho = random_state(np.random.default_rng(13), 3, rank=2)
+        ib.require_valid(instr)
+        calls = self.count_eigensolves(monkeypatch, ("eigh", "eigvalsh", "svd"))
+        ib.petz_family(instr, rho)
+        # one eigh of rho, one stacked eigh of the posteriors; no purification
+        assert calls == ["eigh", "eigh"]
+
+    def assert_corrected_fidelity_only_validates(self, monkeypatch, cold):
         instr = ib.random_instrument(1, 3, 3, 3, 2)
         rho = random_state(np.random.default_rng(14), 3)
         family = ib.petz_family(instr, rho)
+        if cold:  # the engine keeps no analysis of this pair
+            ib.measures._analysis.cache_clear()
         calls = self.count_eigensolves(monkeypatch)
-        for module in (ib.objects, ib.measures):  # every engine binding of purify
-            monkeypatch.setattr(module, "purify", None)
+        # every engine binding of the purification
+        monkeypatch.setattr(ib.objects, "purify", None)
+        for module in (ib.objects, ib.measures):
+            monkeypatch.setattr(module, "_purification", None)
         ib.corrected_fidelity(instr, rho, family)
         # petz_family validated the instrument, so nothing is decomposed
         assert calls == []
+
+    def test_corrected_fidelity_only_validates(self, monkeypatch):
+        self.assert_corrected_fidelity_only_validates(monkeypatch, cold=False)
+
+    def test_corrected_fidelity_on_an_unseen_pair_only_validates(self, monkeypatch):
+        self.assert_corrected_fidelity_only_validates(monkeypatch, cold=True)
 
     @pytest.mark.parametrize("given_delta", [True, False], ids=["delta", "no-delta"])
     def test_fano_bound_check_validates_once(self, monkeypatch, given_delta):

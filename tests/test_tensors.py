@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -84,6 +88,26 @@ class TestLabeledState:
         s = labeled([("Q", 2)], np.eye(2) / 2)
         with pytest.raises(ValueError):
             s.matrix[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("matrix", np.diag([1.0, 0.0])), ("labels", ()), ("subnormalized", True)],
+    )
+    def test_attributes_cannot_be_rebound(self, field, value):
+        s = labeled([("Q", 2)], np.eye(2) / 2)
+        before = getattr(s, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, field)
+        assert getattr(s, field) is before
+
+    def test_copies_rebuild_the_state(self):
+        s = labeled([("Q", 2)], np.diag([0.2, 0.1]), subnormalized=True)
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin.labels == s.labels and twin.subnormalized
+            np.testing.assert_array_equal(twin.matrix, s.matrix)
+            assert not twin.matrix.flags.writeable
 
 
 class TestTensorProduct:
