@@ -82,6 +82,7 @@ from .measures import (
     BalanceReport,
     OutcomeBalance,
     balance_report,
+    balance_reports,
     binary_entropy,
     disturbance,
     disturbance_no_outcomes,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import math
 import sys
 
@@ -21,7 +22,7 @@ from . import __version__
 from .encodings import holevo_check
 from .errors import InfoBalanceError, ParseError
 from .families import DEFAULT_PARAMS, FAMILIES
-from .measures import balance_report
+from .measures import balance_report, balance_reports
 from .objects import Instrument, purify, random_instrument, validate
 from .recovery import fano_bound_check, petz_family
 from .serialize import (
@@ -208,12 +209,16 @@ def cmd_sweep(args) -> int:
         grid = list(np.linspace(0.0, 1.0, args.points))
     if not grid:
         raise InfoBalanceError("empty parameter grid")
+    instruments = map(family, grid)
+    first = next(instruments)
     # a family's d_in does not depend on its parameter
-    rho = _load_state(args.state, family(grid[0]).d_in)
-    rows = []
-    for t in grid:
-        report = balance_report(family(t), rho)
-        rows.append((format(t, ".17g"), _in_units(report.to_dict(), args.nats)))
+    rho = _load_state(args.state, first.d_in)
+    # each instrument is built as the batch takes its pair, so errors come in grid order
+    reports = balance_reports((instr, rho) for instr in itertools.chain([first], instruments))
+    rows = [
+        (format(t, ".17g"), _in_units(report.to_dict(), args.nats))
+        for t, report in zip(grid, reports)
+    ]
     _write_out(args, _csv(rows), f"{len(rows)} rows")
     return 0
 

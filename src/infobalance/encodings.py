@@ -22,6 +22,7 @@ from .objects import (
     Povm,
     PurifiedInput,
     _check_povm_stack,
+    _lowest_eigenvalues,
     check_povm,
     require_valid,
 )
@@ -176,8 +177,8 @@ def _reference_stack(g: np.ndarray, u: np.ndarray, s) -> np.ndarray:
     top = np.linalg.eigvalsh(_hermitian(total))[..., -1]
     scale = (s / top)[..., None, None]
     deficit = np.eye(dim) - scale * total
-    min_eig = float(np.min(np.linalg.eigvalsh(_hermitian(deficit))[..., 0]))
-    if min_eig < -1e-12:
+    low = _lowest_eigenvalues(deficit, 1e-12)
+    if low is not None and (min_eig := float(np.min(low))) < -1e-12:
         raise NumericalInconsistency(f"POVM deficit not PSD: {min_eig:.3e}")
     return np.concatenate([scale[..., None] * raws, deficit[..., None, :, :]], axis=-3)
 

@@ -21,7 +21,8 @@ average over outcomes of small per-outcome spectra, each evaluated by two
 routes that share no matrix (see ``_Analysis``).  Each route has its own
 kernel, a stacked SVD (``_schmidt_entropies``) or a stacked ``eigvalsh``
 (``_state_entropies``), so a kind of spectrum costs one ``numpy.linalg`` call
-per outcome multiplicity, not one per outcome.  The analysis of the last
+per matrix shape, not one per outcome; :func:`balance_reports` stacks the
+spectra of many pairs the same way.  The analysis of the last
 (instrument, state) pair is kept, so the entry points here and in
 :mod:`infobalance.recovery` share one purification, one decomposition of rho
 and one set of spectra per pair.  Negative round-off is clipped to zero only
@@ -32,12 +33,17 @@ for quantities that are provably nonnegative.  The reference module
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadDistribution, NumericalInconsistency, ZeroProbabilityOutcome
+from .errors import (
+    BadDistribution,
+    InfoBalanceError,
+    NumericalInconsistency,
+    ZeroProbabilityOutcome,
+)
 from .objects import PROB_EPS, Instrument, _check_input_state, _purification, require_valid
 from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
 
@@ -98,14 +104,33 @@ def _entropy_rows(x: np.ndarray) -> np.ndarray:
     return -(x * np.log2(x)).cumsum(axis=1)[:, -1]
 
 
+def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
+    """The rows ``decompose`` gives for the matrices of ``stacks`` ``(B, ...)``,
+    in order and :func:`_padded`: one stacked call per distinct matrix shape."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, stack in enumerate(stacks):
+        groups.setdefault(stack.shape[1:], []).append(i)
+    parts: list[np.ndarray] = [None] * len(stacks)
+    for idx in groups.values():
+        if len(idx) == 1:
+            parts[idx[0]] = decompose(stacks[idx[0]])
+            continue
+        rows = decompose(np.concatenate([stacks[i] for i in idx]))
+        start = 0
+        for i in idx:
+            parts[i] = rows[start : start + len(stacks[i])]
+            start += len(stacks[i])
+    return _padded(parts)
+
+
 def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
     """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p).
 
     ``splits`` are stacks ``(B, rows, cols)`` of amplitude matrices, one
-    stacked SVD each; ``probs`` holds the norms² p of all their matrices in
-    order.  This is the purification side's kernel.
+    stacked SVD per matrix shape; ``probs`` holds the norms² p of all their
+    matrices in order.  This is the purification side's kernel.
     """
-    s = _padded([np.linalg.svd(a, compute_uv=False) for a in splits])
+    s = _spectra(splits, lambda a: np.linalg.svd(a, compute_uv=False))
     x = s * s / probs[:, None]
     if (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
         raise BadDistribution("probabilities must be nonnegative and sum to 1")
@@ -115,11 +140,50 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
 
 def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
     """Von Neumann entropy in bits of each (sub)normalized PSD matrix in the
-    stacks ``(B, d, d)``, one stacked ``eigvalsh`` each.  This is the state
-    side's kernel."""
-    s = _entropy_rows(_padded([np.linalg.eigvalsh(_hermitian(m)) for m in stacks]))
+    stacks ``(B, d, d)``, one stacked ``eigvalsh`` per matrix shape.  This
+    is the state side's kernel."""
+    s = _entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m))))
     s[(s >= -1e-9) & (s < 0.0)] = 0.0
     return s
+
+
+class _lazy:
+    """A part of :class:`_Analysis` computed on first use and kept in the
+    instance, as by :func:`functools.cached_property` but without its lock:
+    threads that compute one part store equal values."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        value = ctx.__dict__[self.name] = self.fn(ctx)
+        return value
+
+
+class _batched(_lazy):
+    """A :class:`_lazy` part that one call computes for many analyses:
+    ``fn`` maps a list of analyses to their values.  Reading the part of
+    one analysis runs ``fn`` on that analysis alone; :meth:`fill` runs it
+    once on every analysis of a batch that lacks the part."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        [value] = self.fn([ctx])
+        ctx.__dict__[self.name] = value
+        return value
+
+    def fill(self, ctxs: list[_Analysis]) -> None:
+        todo = [ctx for ctx in dict.fromkeys(ctxs) if self.name not in ctx.__dict__]
+        if todo:
+            for ctx, value in zip(todo, self.fn(todo)):
+                ctx.__dict__[self.name] = value
 
 
 class _Analysis:
@@ -141,9 +205,12 @@ class _Analysis:
     pair decomposes rho once (``rho_eigh``, read by the purification and by
     the Petz recovery of :mod:`infobalance.recovery`).  The per-outcome part
     (``probs``, ``weights``, ``pure_side``, ``state_side`` and
-    ``s_reference``) covers the outcomes of probability above PROB_EPS;
-    each kind of spectrum is one stacked call, or one per multiplicity where
-    the matrix shape depends on it (the three splits of T_m, W_m).  Entry
+    ``s_reference``) covers the outcomes of probability above PROB_EPS.
+    ``psi``, ``s_input``, ``pure_side`` and ``_state`` are :class:`_batched`:
+    :func:`balance_reports` computes each for all its pairs at once, every
+    kind of spectrum as one stacked call per matrix shape (the three splits
+    of T_m and W_m depend on the multiplicity, the rest on the dimensions),
+    and the analyses of one state object share its purification.  Entry
     points reach the analysis through :func:`_analysis`.
     """
 
@@ -153,17 +220,22 @@ class _Analysis:
         self.instr = instr
         self.rho = rho
 
-    @cached_property
+    @_lazy
     def rho_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """The ascending ``eigh`` of rho, the pair's one decomposition of it."""
         return np.linalg.eigh(_hermitian(self.rho.matrix))
 
-    @cached_property
-    def psi(self) -> np.ndarray:
-        """Coefficient matrix of the purification of rho, as :func:`purify`."""
-        return _purification(self.rho, *_descending(*self.rho_eigh)).psi_matrix
+    @_batched
+    def psi(ctxs: list[_Analysis]) -> list[np.ndarray]:
+        """Coefficient matrix of the purification of rho, as :func:`purify`;
+        the analyses of one state object share one."""
+        kept: dict[int, np.ndarray] = {}
+        for ctx in ctxs:
+            if id(ctx.rho) not in kept:
+                kept[id(ctx.rho)] = _purification(ctx.rho, *_descending(*ctx.rho_eigh)).psi_matrix
+        return [kept[id(ctx.rho)] for ctx in ctxs]
 
-    @cached_property
+    @_lazy
     def blocks(self) -> list[tuple[int, int]]:
         """(start, multiplicity) of each outcome's Kraus operators in the stack."""
         blocks, start = [], 0
@@ -172,50 +244,51 @@ class _Analysis:
             start += om.multiplicity
         return blocks
 
-    @cached_property
+    @_lazy
     def amplitudes(self) -> np.ndarray:
         return self.psi @ self.instr.kraus_stack.transpose(0, 2, 1)
 
-    @cached_property
-    def s_input(self) -> float:
+    @_batched
+    def s_input(ctxs: list[_Analysis]) -> list[float]:
         """S(R) of the whole dilated state, which is S(rho); with one outcome
         it is bit for bit S(R|m), so iota_m is exactly 0 there."""
-        t = self.amplitudes
-        return float(_schmidt_entropies(
-            [t.transpose(1, 0, 2).reshape(1, len(self.psi), -1)],
-            np.array([np.vdot(t, t).real]),
-        )[0])
+        stacks, probs = [], []
+        for ctx in ctxs:
+            t = ctx.amplitudes
+            stacks.append(t.transpose(1, 0, 2).reshape(1, len(ctx.psi), -1))
+            probs.append(np.vdot(t, t).real)
+        return _schmidt_entropies(stacks, np.array(probs)).tolist()
 
-    @cached_property
+    @_lazy
     def mapped(self) -> np.ndarray:
         """E_k rho for every Kraus operator, ``(K, d_out, d_in)``."""
         return self.instr.kraus_stack @ self.rho.matrix
 
-    @cached_property
+    @_lazy
     def exchange(self) -> np.ndarray:
         """Tr(E_i rho E_j†) over every pair of Kraus operators of the instrument."""
         stacked = self.instr.kraus_stack
         flat = stacked.reshape(len(stacked), -1)
         return self.mapped.reshape(flat.shape) @ flat.conj().T
 
-    @cached_property
+    @_lazy
     def posteriors(self) -> np.ndarray:
         return np.add.reduceat(
             self.mapped @ self.instr.kraus_stack.conj().transpose(0, 2, 1),
             [b for b, _ in self.blocks],
         )
 
-    @cached_property
+    @_lazy
     def probs(self) -> np.ndarray:
         t = self.amplitudes
         return np.array([np.vdot(t[b : b + k], t[b : b + k]).real for b, k in self.blocks])
 
-    @cached_property
+    @_lazy
     def weights(self) -> np.ndarray:
         """``probs``, with outcomes of probability at or below PROB_EPS at zero."""
         return np.where(self.probs > PROB_EPS, self.probs, 0.0)
 
-    @cached_property
+    @_lazy
     def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(outcome indices, their Kraus indices ``(B, mult)``) for each
         multiplicity among the outcomes of positive weight."""
@@ -228,7 +301,7 @@ class _Analysis:
             for k, idx in groups.items()
         ]
 
-    @cached_property
+    @_lazy
     def _live(self) -> np.ndarray:
         """Indices of the outcomes of positive weight, group by group."""
         return np.concatenate([idx for idx, _ in self._groups])
@@ -241,39 +314,54 @@ class _Analysis:
         out[self._live] = entropies.reshape(3, -1).T
         return out
 
-    @cached_property
-    def pure_side(self) -> np.ndarray:
+    @_batched
+    def pure_side(ctxs: list[_Analysis]) -> list[np.ndarray]:
         """S(R|m), S(Qp|m), S(App|m) from the singular values of T_m."""
-        d_r, d_out = self.amplitudes.shape[1:]
-        r_splits, q_splits, a_splits, probs = [], [], [], []
-        for idx, kraus in self._groups:
-            t = self.amplitudes[kraus]  # (B, mult, d_r, d_out)
-            r_splits.append(t.transpose(0, 2, 1, 3).reshape(len(idx), d_r, -1))
-            q_splits.append(t.transpose(0, 3, 1, 2).reshape(len(idx), d_out, -1))
-            a_splits.append(t.reshape(*kraus.shape, -1))
-            probs.append(self.probs[idx])
-        probs = np.concatenate(probs * 3)
-        return self._per_outcome(_schmidt_entropies(r_splits + q_splits + a_splits, probs))
+        splits, probs = [], []
+        for ctx in ctxs:
+            d_r, d_out = ctx.amplitudes.shape[1:]
+            r_splits, q_splits, a_splits, p = [], [], [], []
+            for idx, kraus in ctx._groups:
+                t = ctx.amplitudes[kraus]  # (B, mult, d_r, d_out)
+                r_splits.append(t.transpose(0, 2, 1, 3).reshape(len(idx), d_r, -1))
+                q_splits.append(t.transpose(0, 3, 1, 2).reshape(len(idx), d_out, -1))
+                a_splits.append(t.reshape(*kraus.shape, -1))
+                p.append(ctx.probs[idx])
+            splits += r_splits + q_splits + a_splits
+            probs += p * 3
+        s = _schmidt_entropies(splits, np.concatenate(probs))
+        out, start = [], 0
+        for ctx in ctxs:
+            end = start + 3 * len(ctx._live)
+            out.append(ctx._per_outcome(s[start:end]))
+            start = end
+        return out
 
-    @cached_property
-    def _state(self) -> tuple[np.ndarray, float]:
-        """``state_side`` and ``s_reference``, from one stacked ``eigvalsh`` of
-        the reference members with their sum, one of the posteriors and one of
-        the exchange blocks of each multiplicity."""
-        live = self._live
-        p = self.probs[live][:, None, None]
-        elements = self.instr.povm_elements[live].transpose(0, 2, 1)
-        members = self.psi @ elements @ self.psi.conj().T
-        blocks = [
-            self.exchange[kraus[:, :, None], kraus[:, None, :]] / self.probs[idx][:, None, None]
-            for idx, kraus in self._groups
-        ]
-        s = _state_entropies(
-            [np.concatenate([members / p, members.sum(axis=0)[None]]),
-             self.posteriors[live] / p, *blocks]
-        )
-        n = len(live)
-        return self._per_outcome(np.concatenate([s[:n], s[n + 1 :]])), float(s[n])
+    @_batched
+    def _state(ctxs: list[_Analysis]) -> list[tuple[np.ndarray, float]]:
+        """``state_side`` and ``s_reference``, from the spectra of the
+        reference members with their sum, of the posteriors and of the
+        exchange blocks of each multiplicity."""
+        stacks = []
+        for ctx in ctxs:
+            live = ctx._live
+            p = ctx.probs[live][:, None, None]
+            elements = ctx.instr.povm_elements[live].transpose(0, 2, 1)
+            members = ctx.psi @ elements @ ctx.psi.conj().T
+            stacks.append(np.concatenate([members / p, members.sum(axis=0)[None]]))
+            stacks.append(ctx.posteriors[live] / p)
+            stacks += [
+                ctx.exchange[kraus[:, :, None], kraus[:, None, :]] / ctx.probs[idx][:, None, None]
+                for idx, kraus in ctx._groups
+            ]
+        spectra = _state_entropies(stacks)
+        out, start = [], 0
+        for ctx in ctxs:
+            n = len(ctx._live)
+            s = spectra[start : start + 3 * n + 1]
+            out.append((ctx._per_outcome(np.concatenate([s[:n], s[n + 1 :]])), float(s[n])))
+            start += 3 * n + 1
+        return out
 
     @property
     def state_side(self) -> np.ndarray:
@@ -459,9 +547,41 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
     Raises :class:`NumericalInconsistency` if any pair of independent routes
     disagrees beyond 1e-9 or the balance identity residual exceeds 1e-9.
     Outcomes with probability at or below 1e-12 are excluded from the table;
-    their total weight is reported, never silently renormalized.
+    their total weight is reported, never silently renormalized.  The
+    spectra come from the batch functions of :func:`balance_reports`, run
+    on a batch of one.
     """
-    ctx = _analysis(instr, rho)
+    return _report(_analysis(instr, rho))
+
+
+def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[BalanceReport]:
+    """:func:`balance_report` of every (instrument, state) pair, in one pass.
+
+    Each kind of spectrum is one stacked ``numpy.linalg`` call per matrix
+    shape over all the pairs, and pairs that share a state object share its
+    decomposition and purification, so pairs of shapes already in the batch
+    add no SVD or ``eigvalsh`` call.  Every report is bit for bit the one
+    :func:`balance_report` gives for its pair.  The pairs are checked in
+    order as they are taken, and an error raised by the checks of pair
+    ``k`` carries the note ``pair k of the batch``.
+    """
+    ctxs = [_noted(k, _analysis, *pair) for k, pair in enumerate(pairs)]
+    for part in (_Analysis.psi, _Analysis.s_input, _Analysis.pure_side, _Analysis._state):
+        part.fill(ctxs)
+    return [_noted(k, _report, ctx) for k, ctx in enumerate(ctxs)]
+
+
+def _noted(k: int, fn, *args):
+    """``fn(*args)``; a domain error it raises gets the note ``pair k of the batch``."""
+    try:
+        return fn(*args)
+    except InfoBalanceError as exc:
+        exc.add_note(f"pair {k} of the batch")
+        raise
+
+
+def _report(ctx: _Analysis) -> BalanceReport:
+    """The balance report of one analysed pair, after every route check."""
     iota_a, iota_b = ctx.iota_routes()
     delta_a, delta_b = ctx.delta_routes()
     noise_a, noise_b = ctx.noise_routes()
@@ -473,7 +593,7 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
     excluded = 0.0
     agg_iota = agg_delta = agg_noise = 0.0
     worst_single = 0.0
-    for idx, label in enumerate(instr.outcome_labels):
+    for idx, label in enumerate(ctx.instr.outcome_labels):
         p = float(ctx.probs[idx])
         if p <= PROB_EPS:
             excluded += max(p, 0.0)
@@ -490,7 +610,7 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
         raise NumericalInconsistency(
             f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
         )
-    report = BalanceReport(
+    return BalanceReport(
         iota=iota_a,
         delta=delta_a,
         noise=noise_a,
@@ -508,4 +628,3 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
         },
         excluded_weight=excluded,
     )
-    return report

@@ -226,17 +226,40 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
     """:func:`check_povm` on elements stacked as ``(..., k, d, d)``.
 
     Leading axes hold independent POVMs sharing ``labels``.  Every element
-    is tested for positivity, the first failure in C order being reported,
-    before completeness, where the largest deviation is reported.
+    is tested for finite entries, then for positivity, the first failure in
+    C order being reported, before completeness, where the largest deviation
+    is reported.
     """
-    low = np.linalg.eigvalsh(_hermitian(stack))[..., 0]
-    bad = np.argwhere(low < -atol)
-    if bad.size:
-        index = tuple(bad[0])
-        raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        index = tuple(np.argwhere(~finite)[0])
+        raise InvalidPovm(f"non-finite entries: element {labels[index[-1]]!r}")
+    low = _lowest_eigenvalues(stack, atol)
+    if low is not None:
+        bad = np.argwhere(low < -atol)
+        if bad.size:
+            index = tuple(bad[0])
+            raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
     dev = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))))
     if dev > atol:
         raise InvalidPovm(f"completeness violated: max |sum P - 1| = {dev:.3e}")
+
+
+def _lowest_eigenvalues(stack: np.ndarray, atol: float) -> np.ndarray | None:
+    """None when one stacked Cholesky factorization of the Hermitian parts
+    of the stack ``(..., d, d)``, shifted by atol/2, succeeds; else the
+    lowest eigenvalue of each part, from a stacked ``eigvalsh``.
+
+    Success shows every eigenvalue to lie above -atol/2, up to the rounding
+    of the factorization, which is far below atol/2; so a stack with an
+    eigenvalue below -atol never passes the screen.
+    """
+    h = _hermitian(stack)
+    try:
+        np.linalg.cholesky(h + atol / 2 * np.eye(h.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(h)[..., 0]
+    return None
 
 
 def povm_of(instr: Instrument) -> Povm:
@@ -318,7 +341,7 @@ def purify(rho: LabeledState) -> PurifiedInput:
 def _purification(rho: LabeledState, w: np.ndarray, v: np.ndarray) -> PurifiedInput:
     """:func:`purify` from the eigenvalues ``w`` of ``rho`` in descending
     order and their eigenvectors, the columns of ``v``."""
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     psi = np.sqrt(w)[:, None] * v.T
     return PurifiedInput(rho=rho, psi=psi.reshape(-1), r_dim=rho.dim)
 

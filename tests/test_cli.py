@@ -254,6 +254,21 @@ class TestSweep:
         _, from_diag, _ = run(capsys, *argv, "diag:0.5,0.5")
         assert from_file == from_diag
 
+    def test_each_grid_instrument_is_built_once(self, capsys, monkeypatch):
+        built = []
+        family = ib.FAMILIES["filter"]
+        monkeypatch.setitem(cli.FAMILIES, "filter", lambda t: built.append(t) or family(t))
+        code, _, _ = run(capsys, "sweep", "--family", "filter", "--grid", "0,0.5,1", "--quiet")
+        assert code == 0 and built == [0.0, 0.5, 1.0]
+
+    def test_errors_come_in_grid_order(self, capsys):
+        # the state misfits the first point before the second parameter is built
+        code, out, err = run(capsys, "sweep", "--family", "filter", "--grid", "0.5,2",
+                             "--state", "diag:0.2,0.3,0.5", "--quiet")
+        assert (code, out, err) == (1, "", "error: state dimension 3 != instrument d_in 2\n")
+        code, _, err = run(capsys, "sweep", "--family", "filter", "--grid", "0.5,2", "--quiet")
+        assert (code, err) == (1, "error: filter parameter 2.0 outside [0, 1]\n")
+
     def test_deterministic_bytes(self, capsys):
         _, a, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")
         _, b, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infobalance as ib
-from infobalance import measures, tensors
+from infobalance import cli, measures, tensors
 from conftest import haar_unitary, qstate, random_density, random_state, realize_povm
 
 
@@ -545,6 +545,18 @@ class TestCallBudget:
         ib.fano_bound_check(*pair, ib.petz_family(*pair))
         assert calls["eigh"] <= 2 and calls["svd"] <= 4 and calls["eigvalsh"] <= 3, calls
 
+    @pytest.mark.parametrize("family", sorted(ib.FAMILIES))
+    def test_sweep(self, calls, capsys, family):
+        # one stacked call per matrix shape, however many grid points share it
+        def spectra(points):
+            for name in calls:
+                calls[name] = 0
+            assert cli.main(["sweep", "--family", family, "--points", points, "--quiet"]) == 0
+            capsys.readouterr()
+            return calls["svd"], calls["eigvalsh"]
+
+        assert spectra("21") == spectra("5")
+
 
 def _bits(x):
     """``x`` with every float and array as its bytes, for bit-for-bit equality."""
@@ -635,6 +647,95 @@ def sliced_instrument(rng, d_in, d_out, mults):
         ib.OutcomeMap(str(m), tuple(next(blocks) for _ in range(k)))
         for m, k in enumerate(mults)
     ))
+
+
+def with_null_outcome(instr):
+    """``instr`` on twice its input dimension, with an outcome "z" that
+    measures the added half, so a state on the first half never sees it."""
+    d = instr.d_in
+    outcomes = [
+        ib.OutcomeMap(om.label, tuple(np.pad(k, ((0, 0), (0, d))) for k in om.kraus))
+        for om in instr.outcomes
+    ]
+    null = np.eye(1, instr.d_out)[0]  # |0> of the output
+    kraus = tuple(np.outer(null, np.eye(2 * d)[d + j]) for j in range(d))
+    return ib.Instrument(2 * d, instr.d_out, tuple(outcomes) + (ib.OutcomeMap("z", kraus),))
+
+
+def batch_pairs(rng):
+    """Pairs of mixed d_in and multiplicities and states of random rank; about
+    one in two has an outcome of probability zero, and one state object
+    serves three pairs."""
+    pairs = []
+    for _ in range(int(rng.integers(2, 6))):
+        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        mults = [int(k) for k in rng.integers(1, 4, int(rng.integers(1, 4)))]
+        if d_out * sum(mults) < d:
+            mults.append(d)
+        instr = sliced_instrument(rng, d, d_out, mults)
+        rho = random_density(rng, d, int(rng.integers(1, d + 1)))
+        if rng.random() < 0.5:
+            instr, rho = with_null_outcome(instr), np.pad(rho, ((0, d), (0, d)))
+        pairs.append((instr, labeled([("Q", instr.d_in)], rho)))
+    shared = pairs[-1][1]
+    pairs += [(sliced_instrument(rng, shared.dim, 2, [1, shared.dim]), shared) for _ in range(2)]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+class TestBatch:
+    """balance_reports analyses many pairs in one pass; every report is bit
+    for bit the one balance_report gives."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_reports_equal_single_reports(self, seed):
+        pairs = batch_pairs(np.random.default_rng(seed))
+        batch = [_bits(r.to_dict()) for r in ib.balance_reports(pairs)]
+        for pair, got in zip(pairs, batch, strict=True):
+            measures._analysis.cache_clear()
+            assert got == _bits(ib.balance_report(*pair).to_dict())
+
+    def test_pairs_sharing_a_state_decompose_it_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        rho = random_state(rng, 3)
+        pairs = [(ib.random_instrument(s, 3, 2, 2, 2), rho) for s in range(5)]
+        for instr, _ in pairs:
+            ib.require_valid(instr)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        ib.balance_reports(pairs)
+        assert calls == [(3, 3)]
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("fault", ["state", "instrument"])
+    def test_invalid_pair_is_named(self, k, fault):
+        rng = np.random.default_rng(8)
+        pairs = [(ib.random_instrument(s, 2, 2, 2, 1), random_state(rng, 2)) for s in range(4)]
+        if fault == "state":
+            pairs[k] = (pairs[k][0], random_state(rng, 3))
+        else:
+            pairs[k] = (ib.Instrument(2, 2, (ib.OutcomeMap("a", (0.5 * np.eye(2),)),)), pairs[k][1])
+        with pytest.raises((ib.DimensionMismatch, ib.InvalidInstrument)) as info:
+            ib.balance_reports(pairs)
+        assert info.value.__notes__ == [f"pair {k} of the batch"]
+
+    @pytest.mark.parametrize("kernel", ["_state_entropies", "_schmidt_entropies"])
+    def test_perturbed_route_of_one_pair_is_named(self, monkeypatch, kernel):
+        # only pair 2 (d = mult = 5) has matrices with a side of 5, and the
+        # shift reaches every spectrum of its side, as in TestRouteIndependence
+        rng = np.random.default_rng(9)
+        pairs = [(ib.random_instrument(s, d, d, 2, m), random_state(rng, d))
+                 for s, (d, m) in enumerate([(2, 2), (3, 2), (5, 5), (4, 2)])]
+        exact = getattr(measures, kernel)
+
+        def shifted(stacks, *rest):
+            shift = [1e-6 * (5 in stack.shape[1:]) for stack in stacks]
+            return exact(stacks, *rest) + np.repeat(shift, [len(stack) for stack in stacks])
+
+        monkeypatch.setattr(measures, kernel, shifted)
+        with pytest.raises(ib.NumericalInconsistency) as info:
+            ib.balance_reports(pairs)
+        assert info.value.__notes__ == ["pair 2 of the batch"]
 
 
 def zero_outcome_case(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,46 @@ class TestCheckPovm:
         first_bad = np.stack([2 * negative, np.eye(2) - 2 * negative])
         with pytest.raises(ib.InvalidPovm, match=r"^element 'b' has eigenvalue -1\.000e-01$"):
             ib.objects._check_povm_stack(np.stack([second_bad, first_bad]), ("a", "b"))
+
+    def test_non_finite_element_is_named(self):
+        nan = np.eye(2) / 2
+        nan[0, 0] = np.nan
+        povm = ib.Povm(2, (("a", np.eye(2) / 2), ("b", nan)))
+        with pytest.raises(ib.InvalidPovm, match=r"^non-finite entries: element 'b'$"):
+            ib.check_povm(povm)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.sampled_from([-1, 1]),
+        # check_povm's tolerance, then that of the Holevo engine's deficit guard
+        st.sampled_from([(ib.objects.TP_ATOL, 1e-6), (1e-12, 1e-2)]),
+    )
+    def test_screen_decides_as_the_eigenvalues_at_the_threshold(self, seed, d, side, tol):
+        # element "a" has lowest eigenvalue -atol * (1 + side * margin), "b" completes it
+        atol, margin = tol
+        rng = np.random.default_rng(seed)
+        u = ib.haar_isometry(rng, d, d)
+        w = np.concatenate([[-atol * (1 + side * margin)], rng.uniform(0.0, 1.0, d - 1)])
+        a = (u * w) @ u.conj().T
+        stack = np.stack([a, np.eye(d) - a])
+        low = np.linalg.eigvalsh(ib.tensors._hermitian(stack))[:, 0]
+        assert (low.min() < -atol) == (side > 0)
+        if side > 0:
+            message = f"element 'a' has eigenvalue {low[0]:.3e}"
+            with pytest.raises(ib.InvalidPovm, match=f"^{re.escape(message)}$"):
+                ib.objects._check_povm_stack(stack, ("a", "b"), atol)
+        else:
+            ib.objects._check_povm_stack(stack, ("a", "b"), atol)
+
+    def test_valid_povm_needs_no_eigensolve(self, monkeypatch):
+        povm = ib.povm_of(ib.random_instrument(3, 4, 3, 3, 2))
+
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        ib.check_povm(povm)
 
 
 class TestUnitaryCompletion:
