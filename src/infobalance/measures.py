@@ -112,9 +112,6 @@ def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
         groups.setdefault(stack.shape[1:], []).append(i)
     parts: list[np.ndarray] = [None] * len(stacks)
     for idx in groups.values():
-        if len(idx) == 1:
-            parts[idx[0]] = decompose(stacks[idx[0]])
-            continue
         rows = decompose(np.concatenate([stacks[i] for i in idx]))
         start = 0
         for i in idx:
@@ -563,7 +560,9 @@ def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[Ba
     add no SVD or ``eigvalsh`` call.  Every report is bit for bit the one
     :func:`balance_report` gives for its pair.  The pairs are checked in
     order as they are taken, and an error raised by the checks of pair
-    ``k`` carries the note ``pair k of the batch``.
+    ``k`` carries the note ``pair k of the batch``.  The batch holds the
+    analysis of every pair, with its ``(K, d_out, d_in)`` arrays, until it
+    returns, so its memory grows with the number of pairs.
     """
     ctxs = [_noted(k, _analysis, *pair) for k, pair in enumerate(pairs)]
     for part in (_Analysis.psi, _Analysis.s_input, _Analysis.pure_side, _Analysis._state):
@@ -576,7 +575,8 @@ def _noted(k: int, fn, *args):
     try:
         return fn(*args)
     except InfoBalanceError as exc:
-        exc.add_note(f"pair {k} of the batch")
+        # as BaseException.add_note, which Python 3.10 lacks
+        exc.__notes__ = [*getattr(exc, "__notes__", []), f"pair {k} of the batch"]
         raise
 
 

@@ -341,7 +341,7 @@ def purify(rho: LabeledState) -> PurifiedInput:
 def _purification(rho: LabeledState, w: np.ndarray, v: np.ndarray) -> PurifiedInput:
     """:func:`purify` from the eigenvalues ``w`` of ``rho`` in descending
     order and their eigenvectors, the columns of ``v``."""
-    w = np.maximum(w, 0.0)
+    w = np.clip(w, 0.0, None)
     psi = np.sqrt(w)[:, None] * v.T
     return PurifiedInput(rho=rho, psi=psi.reshape(-1), r_dim=rho.dim)
 

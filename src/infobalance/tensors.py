@@ -212,7 +212,7 @@ def eig_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
 def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An ascending ``eigh`` ``(w, v)`` reordered to descending eigenvalues."""
     # stable sort keeps the original basis inside degenerate eigenspaces
-    order = (-w).argsort(kind="stable")
+    order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
 

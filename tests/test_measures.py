@@ -707,16 +707,20 @@ class TestBatch:
         assert calls == [(3, 3)]
 
     @pytest.mark.parametrize("k", [0, 2])
-    @pytest.mark.parametrize("fault", ["state", "instrument"])
-    def test_invalid_pair_is_named(self, k, fault):
+    @pytest.mark.parametrize(
+        "fault, error", [("state", ib.DimensionMismatch), ("instrument", ib.InvalidInstrument)]
+    )
+    def test_invalid_pair_is_named(self, k, fault, error):
         rng = np.random.default_rng(8)
         pairs = [(ib.random_instrument(s, 2, 2, 2, 1), random_state(rng, 2)) for s in range(4)]
         if fault == "state":
             pairs[k] = (pairs[k][0], random_state(rng, 3))
         else:
             pairs[k] = (ib.Instrument(2, 2, (ib.OutcomeMap("a", (0.5 * np.eye(2),)),)), pairs[k][1])
-        with pytest.raises((ib.DimensionMismatch, ib.InvalidInstrument)) as info:
+        with pytest.raises(ib.InfoBalanceError) as info:
             ib.balance_reports(pairs)
+        # the error keeps its own type, so callers that catch it still do
+        assert type(info.value) is error
         assert info.value.__notes__ == [f"pair {k} of the batch"]
 
     @pytest.mark.parametrize("kernel", ["_state_entropies", "_schmidt_entropies"])
@@ -733,8 +737,9 @@ class TestBatch:
             return exact(stacks, *rest) + np.repeat(shift, [len(stack) for stack in stacks])
 
         monkeypatch.setattr(measures, kernel, shifted)
-        with pytest.raises(ib.NumericalInconsistency) as info:
+        with pytest.raises(ib.InfoBalanceError) as info:
             ib.balance_reports(pairs)
+        assert type(info.value) is ib.NumericalInconsistency
         assert info.value.__notes__ == ["pair 2 of the batch"]
 
 
