@@ -14,15 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDistribution, DimensionMismatch, NumericalInconsistency
+from .errors import (
+    BadDistribution,
+    DimensionMismatch,
+    DimensionTooSmall,
+    NumericalInconsistency,
+    ParseError,
+)
 from .measures import information_gain
 from .objects import (
     PROB_EPS,
     Instrument,
     Povm,
     PurifiedInput,
-    _check_povm_stack,
+    _check_factored_povm,
     _lowest_eigenvalues,
+    _rank1_sum,
     check_povm,
     require_valid,
 )
@@ -30,7 +37,7 @@ from .tensors import _hermitian
 
 #: slack allowed when comparing classical mutual information against iota
 HOLEVO_ATOL = 1e-9
-#: bytes of the stacked reference POVMs (complex, 16 bytes an entry) that
+#: bytes of the reference POVM factors (weights, vectors and deficit) that
 #: holevo_check scores at once; the result does not depend on it
 _BLOCK_BYTES = 1 << 18
 
@@ -71,12 +78,18 @@ def _letter_parts(inp: PurifiedInput, stack: np.ndarray) -> np.ndarray:
     """
     psi = inp.psi_matrix
     parts = _hermitian((psi.conj().T @ stack @ psi).swapaxes(-1, -2))
-    dev = float(np.max(np.abs(parts.sum(axis=-3) - inp.rho.matrix)))
-    if dev > 1e-9:
+    _check_letter_sum(parts.sum(axis=-3), inp.rho.matrix)
+    return parts
+
+
+def _check_letter_sum(total: np.ndarray, rho: np.ndarray) -> None:
+    """Raise unless the letter states summed to ``total`` (..., d, d) give
+    the input state ``rho``; NaN fails."""
+    dev = float(np.max(np.abs(total - rho)))
+    if not dev <= 1e-9:
         raise NumericalInconsistency(
             f"letter states do not sum to the input state: max dev {dev:.3e}"
         )
-    return parts
 
 
 def joint_distribution(enc: Encoding, instr: Instrument) -> np.ndarray:
@@ -86,22 +99,24 @@ def joint_distribution(enc: Encoding, instr: Instrument) -> np.ndarray:
     for part in enc.parts:
         if part.shape != (d, d):
             raise DimensionMismatch(f"letter state shape {part.shape} != ({d}, {d})")
-    return _joint_table(np.stack(enc.parts), instr.povm_elements)
+    return _check_joint(_trace_products(np.stack(enc.parts), instr.povm_elements))
 
 
-def _joint_table(parts: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """p(x, m) = Tr(rho_x P_m) for letter states (..., x, d, d) and POVM elements (m, d, d).
-
-    Raises unless each table sums to 1 with no cell below -1e-9; the message
-    gives the sum furthest from 1 and the lowest cell.
-    """
+def _trace_products(parts: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """p(x, m) = Tr(rho_x P_m) for letter states (..., x, d, d) and POVM elements (m, d, d)."""
     d = elements.shape[-1]
     flat_parts = parts.reshape(parts.shape[:-2] + (d * d,))
     # Tr(A B) = vec(A) . vec(Bᵀ)
-    joint = (flat_parts @ elements.swapaxes(-1, -2).reshape(-1, d * d).T).real
+    return (flat_parts @ elements.swapaxes(-1, -2).reshape(-1, d * d).T).real
+
+
+def _check_joint(joint: np.ndarray) -> np.ndarray:
+    """``joint`` (..., x, m), after raising unless each table sums to 1 with
+    no cell below -1e-9 and none NaN; the message gives the sum furthest
+    from 1 and the lowest cell."""
     totals = joint.sum(axis=(-2, -1)).ravel()
     total = float(totals[np.argmax(np.abs(totals - 1.0))])
-    if abs(total - 1.0) > 1e-9 or float(joint.min()) < -1e-9:
+    if not (abs(total - 1.0) <= 1e-9 and float(joint.min()) >= -1e-9):
         raise NumericalInconsistency(
             f"joint distribution malformed: sum = {total}, min = {joint.min():.3e}"
         )
@@ -113,9 +128,10 @@ def classical_mutual_information(joint) -> float:
     p = np.asarray(joint, dtype=float)
     if p.ndim != 2:
         raise BadDistribution(f"joint table must be 2-D, got shape {p.shape}")
-    if float(p.min()) < -1e-9:
-        raise BadDistribution(f"negative joint probability {p.min():.3e}")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
+    # both tests are written so that NaN fails them
+    if not float(p.min()) >= -1e-9:
+        raise BadDistribution(f"negative or NaN joint probability {p.min():.3e}")
+    if not abs(float(p.sum()) - 1.0) <= 1e-9:
         raise BadDistribution(f"joint probabilities sum to {p.sum()}, expected 1")
     return float(_classical_mi(p))
 
@@ -137,8 +153,11 @@ def _classical_mi(joint: np.ndarray) -> np.ndarray:
 
 def random_reference_povm(rng: np.random.Generator, dim: int) -> Povm:
     """dim+1 weighted Haar-random rank-1 elements plus the PSD deficit."""
-    stack = _reference_stack(*_reference_draws(rng, dim))
-    return Povm(dim, tuple((str(i), m) for i, m in enumerate(stack)))
+    if dim < 1:
+        raise DimensionTooSmall(f"reference POVM dimension dim must be >= 1, got {dim}")
+    c, v, deficit = _reference_factors(*_reference_draws(rng, dim))
+    rank1 = c[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+    return Povm(dim, tuple((str(i), m) for i, m in enumerate([*rank1, deficit])))
 
 
 def _reference_draws(
@@ -161,26 +180,62 @@ def _reference_draws(
     return g, 0.2 + (1.0 - 0.2) * u, 0.2 + (0.95 - 0.2) * rng.random()
 
 
-def _reference_stack(g: np.ndarray, u: np.ndarray, s) -> np.ndarray:
-    """Reference POVMs ``(..., dim+2, dim, dim)`` from draws stacked over leading axes.
+def _reference_factors(
+    g: np.ndarray, u: np.ndarray, s
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors of reference POVMs from draws stacked over leading axes.
 
-    Element i is ``scale * u_i |g_i><g_i|`` for the normalized vectors g_i,
-    where ``scale`` makes the top eigenvalue of their sum equal ``s``; the
-    last element is the deficit, which must be PSD (the message gives the
-    lowest eigenvalue of any deficit).
+    Element i is ``c_i |v_i><v_i|`` for the weights ``c`` ``(..., dim+1)``
+    and the normalized vectors ``v`` ``(..., dim+1, dim)`` of the draws
+    g_i; the weights are ``scale * u_i``, where ``scale`` makes the top
+    eigenvalue of the rank-1 sum equal ``s``.  The last element is the dense
+    ``deficit`` ``(..., dim, dim)``, which must be PSD (the message gives
+    the lowest eigenvalue of any deficit).
     """
     dim = g.shape[-1] // 2
     v = g[..., :dim] + 1j * g[..., dim:]
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    raws = u[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
-    total = raws.sum(axis=-3)
+    total = _rank1_sum(u, v)
     top = np.linalg.eigvalsh(_hermitian(total))[..., -1]
-    scale = (s / top)[..., None, None]
-    deficit = np.eye(dim) - scale * total
+    scale = s / top
+    deficit = np.eye(dim) - scale[..., None, None] * total
     low = _lowest_eigenvalues(deficit, 1e-12)
     if low is not None and (min_eig := float(np.min(low))) < -1e-12:
         raise NumericalInconsistency(f"POVM deficit not PSD: {min_eig:.3e}")
-    return np.concatenate([scale[..., None] * raws, deficit[..., None, :, :]], axis=-3)
+    return scale[..., None] * u, v, deficit
+
+
+def _trial_factors(children, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_reference_factors` stacked over the reference POVMs drawn
+    from each :class:`numpy.random.SeedSequence` of ``children``."""
+    draws = [_reference_draws(np.random.default_rng(child), dim) for child in children]
+    return _reference_factors(*(np.array(column) for column in zip(*draws)))
+
+
+def _factored_joint(
+    inp: PurifiedInput, c: np.ndarray, v: np.ndarray, deficit: np.ndarray,
+    elements: np.ndarray,
+) -> np.ndarray:
+    """Joint tables (..., dim+2, m) of the reference POVMs with elements
+    ``c_i |v_i><v_i|`` and ``deficit`` against the POVM ``elements`` (m, d, d).
+
+    The factored form of ``_trace_products(_letter_parts(inp, stack),
+    elements)``, with the same checks.  Letter i is ``c_i |b_i><b_i|`` for
+    ``b_i = psiᵀ conj(v_i)``, so its row is ``c_i <b_i|P_m|b_i>``; the
+    deficit's letter and row are dense.
+    """
+    psi = inp.psi_matrix
+    b = v.conj() @ psi
+    deficit_part = _hermitian((psi.conj().T @ deficit @ psi).swapaxes(-1, -2))
+    _check_letter_sum(_rank1_sum(c, b) + deficit_part, inp.rho.matrix)
+    n, d = elements.shape[:2]
+    # b_i† P_m for every i and m from one product with the P_m side by side
+    bp = (b.conj() @ elements.transpose(1, 0, 2).reshape(d, n * d)).reshape(
+        b.shape[:-1] + (n, d)
+    )
+    rows = c[..., None] * np.sum(bp * b[..., None, :], axis=-1).real
+    deficit_row = _trace_products(deficit_part[..., None, :, :], elements)
+    return _check_joint(np.concatenate([rows, deficit_row], axis=-2))
 
 
 @dataclass(frozen=True)
@@ -210,26 +265,27 @@ def holevo_check(
 
     Each trial draws its reference POVM from its own child of the master
     seed, so the reported maximum does not depend on evaluation order.
-    Trials are scored in blocks whose stacked POVMs fit in ``_BLOCK_BYTES``.
-    Raises :class:`NumericalInconsistency` if any trial exceeds iota + 1e-9.
+    Each POVM is kept as its factors, and trials are scored in blocks
+    whose factors fit in ``_BLOCK_BYTES``.  Raises :class:`ParseError` unless
+    ``n_trials`` and ``rng_seed`` are nonnegative integers, and
+    :class:`NumericalInconsistency` if any trial exceeds iota + 1e-9.
     """
+    for name, value in (("n_trials", n_trials), ("rng_seed", rng_seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ParseError(f"{name} must be a nonnegative integer, got {value!r}")
     iota = information_gain(instr, inp.rho)
     elements = instr.povm_elements
     dim = inp.r_dim
     labels = tuple(str(i) for i in range(dim + 2))
-    block = max(1, _BLOCK_BYTES // (16 * (dim + 2) * dim * dim))
+    # weights (8 bytes each), vectors and deficit (complex, 16 bytes an entry)
+    block = max(1, _BLOCK_BYTES // (8 * (dim + 1) + 16 * (2 * dim + 1) * dim))
     # spawning in blocks gives the same children as one spawn(n_trials)
     root = np.random.SeedSequence(rng_seed)
     best = 0.0
     for start in range(0, n_trials, block):
-        draws = [
-            _reference_draws(np.random.default_rng(child), dim)
-            for child in root.spawn(min(block, n_trials - start))
-        ]
-        g, u, s = (np.array(column) for column in zip(*draws))
-        stack = _reference_stack(g, u, s)
-        _check_povm_stack(stack, labels)
-        mi = float(_classical_mi(_joint_table(_letter_parts(inp, stack), elements)).max())
+        c, v, deficit = _trial_factors(root.spawn(min(block, n_trials - start)), dim)
+        _check_factored_povm(c, v, deficit, labels)
+        mi = float(_classical_mi(_factored_joint(inp, c, v, deficit, elements)).max())
         if mi > iota + HOLEVO_ATOL:
             raise NumericalInconsistency(
                 f"Holevo bound violated: I(X:M) = {mi!r} > iota = {iota!r}"

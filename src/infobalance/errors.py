@@ -66,7 +66,7 @@ class BadDistribution(InfoBalanceError):
 
 
 class ParseError(InfoBalanceError):
-    """Serialized input is malformed or violates a declared invariant."""
+    """Serialized input or an argument is malformed or violates a declared invariant."""
 
 
 class NumericalInconsistency(InfoBalanceError):

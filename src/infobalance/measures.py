@@ -61,7 +61,8 @@ def _clip_nonneg(x: float, tol: float = 1e-9) -> float:
 
 def binary_entropy(x: float) -> float:
     """h2(x) in bits with the conventions h2(0) = h2(1) = 0."""
-    if x < 0.0 or x > 1.0:
+    # written so that NaN fails it too
+    if not 0.0 <= x <= 1.0:
         raise BadDistribution(f"binary entropy argument {x} outside [0, 1]")
     s = 0.0
     if x > 0.0:
@@ -74,7 +75,7 @@ def binary_entropy(x: float) -> float:
 def shannon_entropy(probs: Sequence[float]) -> float:
     """Entropy in bits of a probability vector; ~0 entries are skipped."""
     p = np.asarray(probs, dtype=float)
-    if p.size and (float(p.min()) < -1e-9 or abs(float(p.sum()) - 1.0) > 1e-9):
+    if p.size and not (float(p.min()) >= -1e-9 and abs(float(p.sum()) - 1.0) <= 1e-9):
         raise BadDistribution("probabilities must be nonnegative and sum to 1")
     p = p[p > ENTROPY_CUTOFF]
     # adding 0.0 turns the -0.0 of a certain outcome into 0.0

@@ -230,17 +230,59 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
     C order being reported, before completeness, where the largest deviation
     is reported.
     """
-    finite = np.isfinite(stack).all(axis=(-2, -1))
+    _require_finite(np.isfinite(stack).all(axis=(-2, -1)), labels)
+    _require_psd(_lowest_eigenvalues(stack, atol), labels, atol)
+    _require_complete(stack.sum(axis=-3), atol)
+
+
+def _check_factored_povm(
+    c: np.ndarray, v: np.ndarray, deficit: np.ndarray, labels, atol: float = TP_ATOL
+) -> None:
+    """:func:`_check_povm_stack` of POVMs whose elements are ``c_i |v_i><v_i|``
+    for weights ``c`` ``(..., k)`` and vectors ``v`` ``(..., k, d)``, then
+    ``deficit`` ``(..., d, d)``, without forming the rank-1 elements.
+
+    The checks, their order and their messages are those of the stacked
+    check.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
+    it is read directly; the deficit is screened as a stacked element is.
+    """
+    finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
+    deficit_finite = np.isfinite(deficit).all(axis=(-2, -1))
+    _require_finite(np.concatenate([finite, deficit_finite[..., None]], axis=-1), labels)
+    rank1 = c * np.sum(np.abs(v) ** 2, axis=-1)
+    deficit_low = _lowest_eigenvalues(deficit, atol)
+    if deficit_low is None:
+        deficit_low = np.zeros(rank1.shape[:-1])
+    _require_psd(np.concatenate([rank1, deficit_low[..., None]], axis=-1), labels, atol)
+    _require_complete(_rank1_sum(c, v) + deficit, atol)
+
+
+def _rank1_sum(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum_i c_i |v_i><v_i|`` ``(..., d, d)`` of weights ``(..., k)`` and
+    vectors ``(..., k, d)``, from one stacked product."""
+    return (v.swapaxes(-1, -2) * c[..., None, :]) @ v.conj()
+
+
+def _require_finite(finite: np.ndarray, labels) -> None:
+    """Raise for the first element, in C order, not marked ``finite``."""
     if not finite.all():
         index = tuple(np.argwhere(~finite)[0])
         raise InvalidPovm(f"non-finite entries: element {labels[index[-1]]!r}")
-    low = _lowest_eigenvalues(stack, atol)
+
+
+def _require_psd(low: np.ndarray | None, labels, atol: float) -> None:
+    """Raise for the first element, in C order, of lowest eigenvalue ``low``
+    below -atol; None stands for a passed screen."""
     if low is not None:
         bad = np.argwhere(low < -atol)
         if bad.size:
             index = tuple(bad[0])
             raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
-    dev = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))))
+
+
+def _require_complete(total: np.ndarray, atol: float) -> None:
+    """Raise unless every sum of elements ``total`` ``(..., d, d)`` is the identity."""
+    dev = float(np.max(np.abs(total - np.eye(total.shape[-1]))))
     if dev > atol:
         raise InvalidPovm(f"completeness violated: max |sum P - 1| = {dev:.3e}")
 

@@ -94,6 +94,11 @@ class TestJointDistribution:
         with pytest.raises(ib.DimensionMismatch):
             ib.joint_distribution(enc, ib.projective())
 
+    def test_nan_letter_state_is_rejected(self):
+        enc = ib.Encoding(("0",), ib.Povm(2, (("0", np.eye(2)),)), (np.full((2, 2), np.nan),))
+        with pytest.raises(ib.NumericalInconsistency, match="sum = nan, min = nan"):
+            ib.joint_distribution(enc, ib.projective())
+
     @given(st.integers(0, 10**6))
     def test_marginal_matches_outcome_probability(self, seed):
         rng = np.random.default_rng(seed)
@@ -142,6 +147,10 @@ class TestClassicalMutualInformation:
         with pytest.raises(ib.BadDistribution):
             ib.classical_mutual_information(np.array([[0.7, 0.7]]))
 
+    def test_nan_cell(self):
+        with pytest.raises(ib.BadDistribution):
+            ib.classical_mutual_information(np.array([[np.nan, 0.5], [0.5, 0.0]]))
+
     def test_matches_double_loop(self):
         rng = np.random.default_rng(9)
         zero_cells = rng.random((3, 4))
@@ -177,6 +186,10 @@ class TestRandomReferencePovm:
         ib.check_povm(povm)
         assert len(povm.elements) == d + 2
 
+    def test_zero_dimension_is_named(self):
+        with pytest.raises(ib.DimensionTooSmall, match="dim must be >= 1, got 0"):
+            ib.random_reference_povm(np.random.default_rng(0), 0)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_matches_per_element_draws(self, d):
         for seed in range(50):
@@ -185,6 +198,60 @@ class TestRandomReferencePovm:
             assert povm.labels == tuple(str(i) for i in range(d + 2))
             for (_, element), ref in zip(povm.elements, expected):
                 np.testing.assert_allclose(element, ref, rtol=0, atol=1e-15)
+
+
+def expanded(c, v, deficit):
+    """The dense stack (..., dim+2, dim, dim) of factored reference POVMs."""
+    rank1 = c[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
+    return np.concatenate([rank1, deficit[..., None, :, :]], axis=-3)
+
+
+class TestFactoredEngine:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 3),
+    )
+    def test_joint_tables_match_the_dense_oracle(self, seed, d_in, shift, rank, n):
+        d_out = (d_in + shift - 1) % 6 + 1
+        mult = -(-d_in // (d_out * n))
+        instr = ib.random_instrument(seed, d_in, d_out, n, mult)
+        rho = random_state(np.random.default_rng(seed), d_in, min(rank, d_in))
+        inp = ib.purify(rho)
+        children = np.random.SeedSequence(seed).spawn(5)
+        c, v, deficit = ib.encodings._trial_factors(children, inp.r_dim)
+        labels = tuple(str(i) for i in range(inp.r_dim + 2))
+        ib.objects._check_factored_povm(c, v, deficit, labels)
+        tables = ib.encodings._factored_joint(inp, c, v, deficit, instr.povm_elements)
+        for child, table in zip(children, tables):
+            povm = ib.random_reference_povm(np.random.default_rng(child), inp.r_dim)
+            dense = ib.joint_distribution(ib.ensemble_from_reference_povm(inp, povm), instr)
+            np.testing.assert_allclose(table, dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "factor, index, value, message",
+        [
+            (0, (1, 2), -0.25, r"^element '2' has eigenvalue -2\.500e-01$"),
+            (1, (0, 3, 1), np.nan, r"^non-finite entries: element '3'$"),
+            (2, (1, 0, 0), -5.0, r"^element '4' has eigenvalue -\d\.\d{3}e\+00$"),
+            (0, (0, 0), 2.0, r"^completeness violated: max \|sum P - 1\| = "),
+        ],
+        ids=["negative-weight", "nan-vector", "deficit-not-psd", "incomplete"],
+    )
+    def test_injected_fault_is_reported_as_by_the_dense_check(
+        self, factor, index, value, message
+    ):
+        # two trials at dim 3: elements '0'-'3' are rank 1, '4' is the deficit
+        factors = ib.encodings._trial_factors(np.random.SeedSequence(4).spawn(2), 3)
+        factors[factor][index] = value
+        labels = tuple(str(i) for i in range(5))
+        with pytest.raises(ib.InvalidPovm, match=message) as dense:
+            ib.objects._check_povm_stack(expanded(*factors), labels)
+        with pytest.raises(ib.InvalidPovm, match=message) as factored:
+            ib.objects._check_factored_povm(*factors, labels)
+        assert str(factored.value) == str(dense.value)
 
 
 class TestHolevoCheck:
@@ -227,6 +294,25 @@ class TestHolevoCheck:
         assert set(doc) == {"iota", "max_classical_mi", "margin", "n_trials", "seed"}
         assert doc["n_trials"] == 10 and doc["seed"] == 3
         assert report.margin == pytest.approx(report.iota - report.max_classical_mi)
+
+    def test_scores_without_the_dense_engine(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense engine called")
+
+        monkeypatch.setattr(ib.encodings, "_letter_parts", dense)
+        monkeypatch.setattr(ib.objects, "_check_povm_stack", dense)
+        instr = ib.random_instrument(21, 5, 4, 3, 2)
+        report = ib.holevo_check(ib.purify(qstate([0.4, 0.3, 0.2, 0.1, 0.0])), instr, 29, 3)
+        assert report.max_classical_mi == pytest.approx(0.060494748960245565, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_trials, rng_seed, name",
+        [(-1, 1, "n_trials"), (True, 1, "n_trials"), (2.0, 1, "n_trials"),
+         (5, -1, "rng_seed"), (5, False, "rng_seed")],
+    )
+    def test_bad_arguments_are_named(self, n_trials, rng_seed, name):
+        with pytest.raises(ib.ParseError, match=f"^{name} must be a nonnegative integer"):
+            ib.holevo_check(ib.purify(qstate([0.5, 0.5])), ib.projective(), n_trials, rng_seed)
 
     def test_deterministic_maximum(self):
         instr = ib.random_instrument(5, 2, 2, 2, 1)

@@ -134,6 +134,17 @@ class TestChiQuantity:
             ib.chi_quantity([(0.7, qstate([0.5, 0.5]))])
 
 
+class TestClassicalEntropies:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: ib.shannon_entropy([np.nan, 1.0]), lambda: ib.binary_entropy(np.nan)],
+        ids=["shannon", "binary"],
+    )
+    def test_nan_is_rejected(self, call):
+        with pytest.raises(ib.BadDistribution):
+            call()
+
+
 class TestInformationGain:
     def test_projective_on_mixed(self):
         assert ib.information_gain(ib.projective(), qstate([0.5, 0.5])) == pytest.approx(
