@@ -213,8 +213,10 @@ def cmd_sweep(args) -> int:
     first = next(instruments)
     # a family's d_in does not depend on its parameter
     rho = _load_state(args.state, first.d_in)
+    instruments = itertools.chain([first], instruments)
+    del first  # the batch alone decides how long an instrument lives
     # each instrument is built as the batch takes its pair, so errors come in grid order
-    reports = balance_reports((instr, rho) for instr in itertools.chain([first], instruments))
+    reports = balance_reports((instr, rho) for instr in instruments)
     rows = [
         (format(t, ".17g"), _in_units(report.to_dict(), args.nats))
         for t, report in zip(grid, reports)

@@ -18,22 +18,19 @@ Kraus operator.
 
 The joint state on [R, Qp, App, X] is never built: every quantity is an
 average over outcomes of small per-outcome spectra, each evaluated by two
-routes that share no matrix (see ``_Analysis``).  Each route has its own
-kernel, a stacked SVD (``_schmidt_entropies``) or a stacked ``eigvalsh``
-(``_state_entropies``), so a kind of spectrum costs one ``numpy.linalg`` call
-per matrix shape, not one per outcome; :func:`balance_reports` stacks the
-spectra of many pairs the same way.  The analysis of the last
-(instrument, state) pair is kept, so the entry points here and in
-:mod:`infobalance.recovery` share one purification, one decomposition of rho
-and one set of spectra per pair.  Negative round-off is clipped to zero only
-for quantities that are provably nonnegative.  The reference module
-:mod:`infobalance.dilation` builds the joint state instead.
+routes that share no matrix (see ``_Group``), pair by pair or for a stack of
+pairs of one shape at once.  The last pair's analysis is kept, so the entry
+points here and in :mod:`infobalance.recovery` share its work.  Negative
+round-off is clipped to zero only for quantities that are provably
+nonnegative.  The reference module :mod:`infobalance.dilation` builds the
+joint state instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,8 +41,15 @@ from .errors import (
     NumericalInconsistency,
     ZeroProbabilityOutcome,
 )
-from .objects import PROB_EPS, Instrument, _check_input_state, _purification, require_valid
-from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
+from .objects import (
+    PROB_EPS,
+    Instrument,
+    _check_input_state,
+    _purification,
+    _validate_each,
+    require_valid,
+)
+from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian, _read_only
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -85,49 +89,34 @@ def shannon_entropy(probs: Sequence[float]) -> float:
 # -- per-measurement analysis --------------------------------------------------
 
 
-def _padded(spectra: list[np.ndarray]) -> np.ndarray:
-    """Rows of every ``(B, k)`` array of spectra in one array, zero-padded on
-    the right to the widest ``k``."""
-    out = np.zeros((sum(len(s) for s in spectra), max(s.shape[1] for s in spectra)))
-    row = 0
-    for s in spectra:
-        out[row : row + len(s), : s.shape[1]] = s
-        row += len(s)
-    return out
-
-
 def _entropy_rows(x: np.ndarray) -> np.ndarray:
-    """Minus the sum of x log2 x along each row, entries at or below
-    ENTROPY_CUTOFF counting as exact zeros.  The sum runs left to right, so
-    zero padding never changes a row's value."""
-    x = x.copy()
-    x[x <= ENTROPY_CUTOFF] = 1.0  # 1 log2 1 is an exact zero
+    """Minus the sum, left to right, of x log2 x along each row, entries at or
+    below ENTROPY_CUTOFF counting as exact zeros, so zero padding adds nothing."""
+    x = np.where(x <= ENTROPY_CUTOFF, 1.0, x)  # 1 log2 1 is an exact zero
     return -(x * np.log2(x)).cumsum(axis=1)[:, -1]
 
 
 def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
-    """The rows ``decompose`` gives for the matrices of ``stacks`` ``(B, ...)``,
-    in order and :func:`_padded`: one stacked call per distinct matrix shape."""
+    """The rows ``decompose`` gives for the matrices of ``stacks`` ``(B, ...)``, in
+    order, zero-padded to the widest: one stacked call per matrix shape."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, stack in enumerate(stacks):
         groups.setdefault(stack.shape[1:], []).append(i)
-    parts: list[np.ndarray] = [None] * len(stacks)
-    for idx in groups.values():
-        rows = decompose(np.concatenate([stacks[i] for i in idx]))
-        start = 0
+    rows = [decompose(np.concatenate([stacks[i] for i in idx])) for idx in groups.values()]
+    starts = np.cumsum([0] + [len(stack) for stack in stacks]).tolist()
+    out = np.zeros((starts[-1], max(r.shape[1] for r in rows)))
+    for idx, r in zip(groups.values(), rows):
+        at = 0
         for i in idx:
-            parts[i] = rows[start : start + len(stacks[i])]
-            start += len(stacks[i])
-    return _padded(parts)
+            out[starts[i] : starts[i + 1], : r.shape[1]] = r[at : at + len(stacks[i])]
+            at += len(stacks[i])
+    return out
 
 
 def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
-    """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p).
-
-    ``splits`` are stacks ``(B, rows, cols)`` of amplitude matrices, one
-    stacked SVD per matrix shape; ``probs`` holds the norms² p of all their
-    matrices in order.  This is the purification side's kernel.
-    """
+    """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p)
+    of the stacks ``splits`` ``(B, rows, cols)``, whose norms² p ``probs``
+    holds in order: the purification side's kernel, a stacked SVD."""
     s = _spectra(splits, lambda a: np.linalg.svd(a, compute_uv=False))
     x = s * s / probs[:, None]
     if (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
@@ -138,17 +127,14 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
 
 def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
     """Von Neumann entropy in bits of each (sub)normalized PSD matrix in the
-    stacks ``(B, d, d)``, one stacked ``eigvalsh`` per matrix shape.  This
-    is the state side's kernel."""
-    s = _entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m))))
-    s[(s >= -1e-9) & (s < 0.0)] = 0.0
-    return s
+    stacks ``(B, d, d)``: the state side's kernel, a stacked ``eigvalsh``."""
+    return _clipped(_entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m)))))
 
 
 class _lazy:
-    """A part of :class:`_Analysis` computed on first use and kept in the
-    instance, as by :func:`functools.cached_property` but without its lock:
-    threads that compute one part store equal values."""
+    """A part computed on first use and kept in the instance, as by
+    :func:`functools.cached_property` but without its lock: threads that
+    compute one part store equal values."""
 
     def __init__(self, fn) -> None:
         self.fn = fn
@@ -164,53 +150,249 @@ class _lazy:
         return value
 
 
-class _batched(_lazy):
-    """A :class:`_lazy` part that one call computes for many analyses:
-    ``fn`` maps a list of analyses to their values.  Reading the part of
-    one analysis runs ``fn`` on that analysis alone; :meth:`fill` runs it
-    once on every analysis of a batch that lacks the part."""
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as one ``(B, ...)`` array; a lone array as a view of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        [value] = self.fn([ctx])
-        ctx.__dict__[self.name] = value
-        return value
 
-    def fill(self, ctxs: list[_Analysis]) -> None:
-        todo = [ctx for ctx in dict.fromkeys(ctxs) if self.name not in ctx.__dict__]
-        if todo:
-            for ctx, value in zip(todo, self.fn(todo)):
-                ctx.__dict__[self.name] = value
+def _clipped(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """:func:`_clip_nonneg` of every entry."""
+    return np.where((-tol <= x) & (x < 0.0), 0.0, x)
+
+
+@lru_cache(maxsize=64)
+def _multiplicity_groups(mults: tuple[int, ...], live: tuple[bool, ...]) -> tuple:
+    """(outcome indices, their Kraus indices ``(L, mult)``) for each
+    multiplicity among the outcomes marked ``live``, by first appearance,
+    and all those outcomes in that order; kept, as the same few recur."""
+    groups: dict[int, list[int]] = {}
+    for idx, (k, kept) in enumerate(zip(mults, live)):
+        if kept:
+            groups.setdefault(k, []).append(idx)
+    starts = np.cumsum((0,) + mults)
+    pairs = [(_read_only(np.array(idx)), _read_only(starts[idx][:, None] + np.arange(k)))
+             for k, idx in groups.items()]
+    return pairs, _read_only(np.concatenate([idx for idx, _ in pairs]))
+
+
+class _Group:
+    """Per-outcome spectra of B (state, instrument) pairs of one signature
+    (d_in, d_out, multiplicities), by two routes.
+
+    Given outcome m the dilated state on [R, Qp, App] is pure, with
+    amplitudes T_m[k, r, q] = (psi E_{m,k}^T)[r, q], and X is classical, so
+    every quantity is a p_m-average of S(R|m), S(Qp|m) and S(App|m).  The
+    purification side reads them from the singular values of T_m split three
+    ways; the state side from the reference ensemble member psi P_m^T psi†,
+    the posterior E_m(rho) and the entropy-exchange matrix Tr(E_k rho E_k'†)
+    (Schumacher, PRA 54, 2614, 1996), each over p_m.  The sides share no
+    matrix, so every comparison between them is a numerical cross-check.
+
+    Each part is computed on first use and kept, as numpy operations over
+    the leading pair axis, and each pair's values are bit for bit those of a
+    group of one.  Outcomes of probability at or below PROB_EPS enter no
+    spectrum and no sum: pairs are stacked by their set of kept outcomes.
+    """
+
+    def __init__(self, ctxs: list[_Analysis]) -> None:
+        self.mults = tuple(om.multiplicity for om in ctxs[0].instr.outcomes)
+        self.blocks = list(zip(accumulate(self.mults, initial=0), self.mults))
+        self.labels = [ctx.instr.outcome_labels for ctx in ctxs]
+        self.kraus = _stacked([ctx.instr.kraus_stack for ctx in ctxs])
+        self.elements = _stacked([ctx.instr.povm_elements for ctx in ctxs])
+        self.rho = _stacked([ctx.rho.matrix for ctx in ctxs])
+        states = {id(ctx.rho): ctx.rho for ctx in ctxs}
+        self.states, slot = list(states.values()), {key: i for i, key in enumerate(states)}
+        self.slots = [slot[id(ctx.rho)] for ctx in ctxs]
+
+    @_lazy
+    def rho_eighs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ascending ``eigh`` of each state object (stored exactly Hermitian)."""
+        return [np.linalg.eigh(rho.matrix) for rho in self.states]
+
+    @_lazy
+    def psi(self) -> np.ndarray:
+        """Coefficient matrices ``(B, d, d)`` of the purification of rho, as :func:`purify`."""
+        psi = _stacked([_purification(rho, *_descending(*eigh)).psi_matrix
+                        for rho, eigh in zip(self.states, self.rho_eighs)])
+        return psi if len(psi) == len(self.slots) else psi[self.slots]
+
+    @_lazy
+    def amplitudes(self) -> np.ndarray:
+        """T_m of every Kraus operator, ``(B, K, d_r, d_out)``."""
+        return self.psi[:, None] @ self.kraus.transpose(0, 1, 3, 2)
+
+    def _input_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """T split as R against everything else ``(B, d_r, K·d_out)``, and its norm²."""
+        t = self.amplitudes
+        flat = t.reshape(len(t), -1)
+        return t.transpose(0, 2, 1, 3).reshape(len(t), t.shape[2], -1), np.vecdot(flat, flat).real
+
+    @_lazy
+    def s_input(self) -> np.ndarray:
+        """S(R) of the whole dilated state, which is S(rho), bit for bit S(R|m)
+        with one outcome; ``sides`` computes it if it is not yet known."""
+        split, norm = self._input_split()
+        return _schmidt_entropies([split], norm)
+
+    @_lazy
+    def probs(self) -> np.ndarray:
+        """p_m ``(B, n)``; ``np.vecdot`` runs the BLAS dot of ``np.vdot``."""
+        t = self.amplitudes
+        rows = [t[:, b : b + k].reshape(len(t), -1) for b, k in self.blocks]
+        return np.array([np.vecdot(x, x).real for x in rows]).T.copy()
+
+    @_lazy
+    def weights(self) -> np.ndarray:
+        """``probs``, with outcomes of probability at or below PROB_EPS at zero."""
+        return np.where(self.probs > PROB_EPS, self.probs, 0.0)
+
+    @_lazy
+    def mapped(self) -> np.ndarray:
+        """E_k rho for every Kraus operator, ``(B, K, d_out, d_in)``."""
+        return self.kraus @ self.rho[:, None]
+
+    @_lazy
+    def exchange(self) -> np.ndarray:
+        """Tr(E_i rho E_j†) over every pair of Kraus operators, ``(B, K, K)``."""
+        flat = self.kraus.reshape(*self.kraus.shape[:2], -1)
+        return self.mapped.reshape(flat.shape) @ flat.conj().swapaxes(1, 2)
+
+    @_lazy
+    def posteriors(self) -> np.ndarray:
+        """E_m(rho), ``(B, n, d_out, d_out)``."""
+        products = self.mapped @ self.kraus.conj().swapaxes(2, 3)
+        return np.add.reduceat(products, [b for b, _ in self.blocks], axis=1)
+
+    @_lazy
+    def members(self) -> np.ndarray:
+        """psi P_m^T psi†, ``(B, n, d_r, d_r)``, unnormalized."""
+        psi = self.psi[:, None]
+        return psi @ self.elements.swapaxes(2, 3) @ psi.conj().swapaxes(2, 3)
+
+    @_lazy
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """S(R|m), S(Qp|m), S(App|m) ``(2, B, n, 3)`` of the purification and
+        the state side, 0 for excluded outcomes, and S(R) ``(B,)`` of the
+        reference ensemble's average sum_m psi P_m^T psi†."""
+        t, (B, n) = self.amplitudes, self.probs.shape
+        d_r, d_out = t.shape[2:]
+        classes: dict[tuple, list[int]] = {}
+        for b, live in enumerate((self.weights > 0.0).tolist()):
+            classes.setdefault(tuple(live), []).append(b)
+        at, norms, summed, sums = [], [], [], []
+        parts: list[list[np.ndarray]] = [[] for _ in range(6)]
+        for live, pairs in classes.items():
+            pairs = np.array(pairs)[:, None]
+            # outcomes in the order of the multiplicity groups, as stacked
+            groups, order = _multiplicity_groups(self.mults, live)
+            p, members = self.probs[pairs, order], self.members[pairs, order]
+            posteriors = self.posteriors[pairs, order]
+            summed.append(pairs[:, 0])
+            sums.append(members.sum(axis=1))
+            start = 0
+            for idx, kraus in groups:
+                k, cut = kraus.shape[1], slice(start, start + len(idx))
+                start += len(idx)
+                q = p[:, cut].reshape(-1, 1, 1)
+                x = t[pairs[..., None], kraus].reshape(-1, k, d_r, d_out)
+                parts[0].append(x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1))
+                parts[1].append(x.transpose(0, 3, 1, 2).reshape(len(x), d_out, -1))
+                parts[2].append(x.reshape(len(x), k, -1))
+                parts[3].append(members[:, cut].reshape(-1, d_r, d_r) / q)
+                parts[4].append(posteriors[:, cut].reshape(-1, d_out, d_out) / q)
+                w = self.exchange[pairs[..., None, None], kraus[:, :, None], kraus[:, None, :]]
+                parts[5].append(w.reshape(len(x), k, k) / q)
+                norms.append(q.ravel())
+                at.append((pairs * n + idx).ravel())
+        at, norms = np.concatenate(at), [np.concatenate(norms)] * 3
+        # S(rho) in the same kernel call, if it is not yet known
+        fresh = [] if "s_input" in self.__dict__ else [self._input_split()]
+        s = _schmidt_entropies(parts[0] + parts[1] + parts[2] + [x for x, _ in fresh],
+                               np.concatenate(norms + [norm for _, norm in fresh]))
+        if fresh:
+            self.__dict__["s_input"] = s[3 * len(at) :]
+        out = np.zeros((2, B * n, 3))
+        out[0, at] = s[: 3 * len(at)].reshape(3, -1).T
+        s = _state_entropies(parts[3] + parts[4] + parts[5] + sums)
+        out[1, at] = s[: 3 * len(at)].reshape(3, -1).T
+        s_reference = np.empty(B)
+        s_reference[np.concatenate(summed)] = s[3 * len(at) :]
+        return out.reshape(2, B, n, 3), s_reference
+
+    @_lazy
+    def dno(self) -> np.ndarray:
+        """Disturbance of the outcome-averaged channel ``(B,)``."""
+        s = _state_entropies([self.posteriors.sum(axis=1), self.exchange])
+        return self.s_input - s[: len(self.rho)] + s[len(self.rho) :]
+
+    @_lazy
+    def routes(self) -> np.ndarray:
+        """``(7, B)``: the two routes of iota (purification, reference ensemble),
+        delta (purification, posterior and exchange) and the noise sum_m p_m
+        I(R:App|m) (state, purification), clipped as by :func:`_clip_nonneg`; iota_G."""
+        (sides, s_reference), s_input, w = self.sides, self.s_input, self.weights
+        # per pair the BLAS dot of ``weights @ column``, at the column's stride
+        strided = np.vecdot(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
+        r, q, a = sides.transpose(3, 0, 1, 2).copy()  # each (2, B, n): purification, state
+        dots = np.vecdot(w, np.array([q - a, r + a - q]))  # (2, 2, B)
+        base = np.array([s_input, s_reference])
+        routes = _clipped(np.concatenate([base - strided[:, 0], base - dots[0], dots[1, ::-1]]))
+        return np.concatenate([routes, [s_input - strided[1, 1]]])
+
+    @_lazy
+    def checks(self) -> list[tuple[list[float], list[list[float]]]]:
+        """Per pair, as Python numbers: its report's scalars (``routes``, their
+        gaps, the balance and the three aggregation residuals, the worst
+        single-outcome balance, the excluded weight) and (p_m, iota_m, delta_m,
+        noise_m, kept) per outcome, noise_m from the state side."""
+        (r, s_r), (q, s_q), (a, s_a) = self.sides[0].transpose(3, 0, 1, 2)
+        s_input, w, probs, routes = self.s_input, self.weights, self.probs, self.routes
+        s_in = s_input[:, None]
+        values = np.array([s_in - r, s_in - q + a, _clipped(s_r + s_a - s_q)])
+        # the p_m-weighted values of the outcomes kept and the weight max(p_m, 0)
+        # of the others, each summed in outcome order from 0.0, as a loop adds
+        terms = np.concatenate([w * values, [np.maximum(probs, 0.0) - w]])
+        sums = np.add.accumulate(terms, axis=2)[..., -1] + 0.0
+        route_a = routes[0:6:2]
+        single = np.abs(values[0] + values[2] - values[1])  # 0 for an excluded outcome
+        scalars = np.concatenate([
+            routes, np.abs(route_a - routes[1:6:2]), [np.abs(route_a[0] + route_a[2] - route_a[1])],
+            np.abs(sums[:3] - route_a), [np.fmax.reduce(single, axis=1, initial=0.0)], sums[3:],
+        ]).T.tolist()
+        outcomes = np.concatenate([[probs], values, [w > 0.0]]).transpose(1, 2, 0).tolist()
+        return list(zip(scalars, outcomes))
+
+    def report(self, k: int) -> BalanceReport:
+        """The balance report of pair k, after every route check."""
+        scalars, outcomes = self.checks[k]
+        routes, gaps, residual = scalars[:6], scalars[7:10], scalars[10]
+        for i, gap in enumerate(gaps):
+            if gap > ROUTE_ATOL:
+                raise _disagreement(i, *routes[2 * i : 2 * i + 2])
+        if residual > BALANCE_ATOL:
+            raise NumericalInconsistency(
+                f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
+            )
+        return BalanceReport(
+            iota=routes[0],
+            delta=routes[2],
+            noise=routes[4],
+            iota_g=scalars[6],
+            per_outcome=tuple(
+                OutcomeBalance(label, p, iota_m, delta_m, noise_m)
+                for label, (p, iota_m, delta_m, noise_m, kept) in zip(self.labels[k], outcomes)
+                if kept
+            ),
+            residual_balance=residual,
+            residual_routes=dict(zip(_RESIDUALS, gaps + scalars[11:15])),
+            excluded_weight=scalars[15],
+        )
 
 
 class _Analysis:
-    """Per-outcome spectra of one (state, instrument) pair, by two routes.
-
-    Given outcome m the dilated state on [R, Qp, App] is pure, with
-    amplitudes T_m[k, r, q] = (psi E_{m,k}^T)[r, q], and the register X is
-    classical, so every quantity is a p_m-average of S(R|m), S(Qp|m) and
-    S(App|m).  The purification side reads them from the singular values of
-    T_m split three ways (:func:`_schmidt_entropies`).  The state side reads
-    them from the reference ensemble member psi P_m^T psi† / p_m, the
-    posterior E_m(rho) / p_m and the entropy-exchange matrix
-    W_m[k, k'] = Tr(E_k rho E_k'†) / p_m (Schumacher, PRA 54, 2614, 1996;
-    :func:`_state_entropies`).  The two sides share no matrix, so every
-    comparison between them is a numerical cross-check.
-
-    The constructor only checks the pair; every other part is computed on
-    first use and kept, so an entry point computes only what it reads and a
-    pair decomposes rho once (``rho_eigh``, read by the purification and by
-    the Petz recovery of :mod:`infobalance.recovery`).  The per-outcome part
-    (``probs``, ``weights``, ``pure_side``, ``state_side`` and
-    ``s_reference``) covers the outcomes of probability above PROB_EPS.
-    ``psi``, ``s_input``, ``pure_side`` and ``_state`` are :class:`_batched`:
-    :func:`balance_reports` computes each for all its pairs at once, every
-    kind of spectrum as one stacked call per matrix shape (the three splits
-    of T_m and W_m depend on the multiplicity, the rest on the dimensions),
-    and the analyses of one state object share its purification.  Entry
-    points reach the analysis through :func:`_analysis`.
-    """
+    """One checked (instrument, state) pair; its numbers are rows of the
+    arrays of its :class:`_Group` (``at``), alone a group of one."""
 
     def __init__(self, instr: Instrument, rho: LabeledState) -> None:
         require_valid(instr)
@@ -219,213 +401,49 @@ class _Analysis:
         self.rho = rho
 
     @_lazy
+    def at(self) -> tuple[_Group, int]:
+        """The group holding this pair's arrays, and the pair's index in it."""
+        return _Group([self]), 0
+
+    @property
     def rho_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending ``eigh`` of rho, the pair's one decomposition of it."""
-        return np.linalg.eigh(_hermitian(self.rho.matrix))
+        return self.at[0].rho_eighs[self.at[0].slots[self.at[1]]]
 
-    @_batched
-    def psi(ctxs: list[_Analysis]) -> list[np.ndarray]:
-        """Coefficient matrix of the purification of rho, as :func:`purify`;
-        the analyses of one state object share one."""
-        kept: dict[int, np.ndarray] = {}
-        for ctx in ctxs:
-            if id(ctx.rho) not in kept:
-                kept[id(ctx.rho)] = _purification(ctx.rho, *_descending(*ctx.rho_eigh)).psi_matrix
-        return [kept[id(ctx.rho)] for ctx in ctxs]
-
-    @_lazy
+    @property
     def blocks(self) -> list[tuple[int, int]]:
         """(start, multiplicity) of each outcome's Kraus operators in the stack."""
-        blocks, start = [], 0
-        for om in self.instr.outcomes:
-            blocks.append((start, om.multiplicity))
-            start += om.multiplicity
-        return blocks
+        return self.at[0].blocks
 
-    @_lazy
-    def amplitudes(self) -> np.ndarray:
-        return self.psi @ self.instr.kraus_stack.transpose(0, 2, 1)
-
-    @_batched
-    def s_input(ctxs: list[_Analysis]) -> list[float]:
-        """S(R) of the whole dilated state, which is S(rho); with one outcome
-        it is bit for bit S(R|m), so iota_m is exactly 0 there."""
-        stacks, probs = [], []
-        for ctx in ctxs:
-            t = ctx.amplitudes
-            stacks.append(t.transpose(1, 0, 2).reshape(1, len(ctx.psi), -1))
-            probs.append(np.vdot(t, t).real)
-        return _schmidt_entropies(stacks, np.array(probs)).tolist()
-
-    @_lazy
+    @property
     def mapped(self) -> np.ndarray:
-        """E_k rho for every Kraus operator, ``(K, d_out, d_in)``."""
-        return self.instr.kraus_stack @ self.rho.matrix
-
-    @_lazy
-    def exchange(self) -> np.ndarray:
-        """Tr(E_i rho E_j†) over every pair of Kraus operators of the instrument."""
-        stacked = self.instr.kraus_stack
-        flat = stacked.reshape(len(stacked), -1)
-        return self.mapped.reshape(flat.shape) @ flat.conj().T
-
-    @_lazy
-    def posteriors(self) -> np.ndarray:
-        return np.add.reduceat(
-            self.mapped @ self.instr.kraus_stack.conj().transpose(0, 2, 1),
-            [b for b, _ in self.blocks],
-        )
-
-    @_lazy
-    def probs(self) -> np.ndarray:
-        t = self.amplitudes
-        return np.array([np.vdot(t[b : b + k], t[b : b + k]).real for b, k in self.blocks])
-
-    @_lazy
-    def weights(self) -> np.ndarray:
-        """``probs``, with outcomes of probability at or below PROB_EPS at zero."""
-        return np.where(self.probs > PROB_EPS, self.probs, 0.0)
-
-    @_lazy
-    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(outcome indices, their Kraus indices ``(B, mult)``) for each
-        multiplicity among the outcomes of positive weight."""
-        groups: dict[int, list[int]] = {}
-        for idx, (_, k) in enumerate(self.blocks):
-            if self.weights[idx] > 0.0:
-                groups.setdefault(k, []).append(idx)
-        return [
-            (np.array(idx), np.array([self.blocks[i][0] for i in idx])[:, None] + np.arange(k))
-            for k, idx in groups.items()
-        ]
-
-    @_lazy
-    def _live(self) -> np.ndarray:
-        """Indices of the outcomes of positive weight, group by group."""
-        return np.concatenate([idx for idx, _ in self._groups])
-
-    def _per_outcome(self, entropies: np.ndarray) -> np.ndarray:
-        """Rows S(R|m), S(Qp|m), S(App|m) from ``entropies`` laid out as
-        [R, Qp, App] blocks, each in ``_live`` order; rows of excluded
-        outcomes stay 0."""
-        out = np.zeros((len(self.probs), 3))
-        out[self._live] = entropies.reshape(3, -1).T
-        return out
-
-    @_batched
-    def pure_side(ctxs: list[_Analysis]) -> list[np.ndarray]:
-        """S(R|m), S(Qp|m), S(App|m) from the singular values of T_m."""
-        splits, probs = [], []
-        for ctx in ctxs:
-            d_r, d_out = ctx.amplitudes.shape[1:]
-            r_splits, q_splits, a_splits, p = [], [], [], []
-            for idx, kraus in ctx._groups:
-                t = ctx.amplitudes[kraus]  # (B, mult, d_r, d_out)
-                r_splits.append(t.transpose(0, 2, 1, 3).reshape(len(idx), d_r, -1))
-                q_splits.append(t.transpose(0, 3, 1, 2).reshape(len(idx), d_out, -1))
-                a_splits.append(t.reshape(*kraus.shape, -1))
-                p.append(ctx.probs[idx])
-            splits += r_splits + q_splits + a_splits
-            probs += p * 3
-        s = _schmidt_entropies(splits, np.concatenate(probs))
-        out, start = [], 0
-        for ctx in ctxs:
-            end = start + 3 * len(ctx._live)
-            out.append(ctx._per_outcome(s[start:end]))
-            start = end
-        return out
-
-    @_batched
-    def _state(ctxs: list[_Analysis]) -> list[tuple[np.ndarray, float]]:
-        """``state_side`` and ``s_reference``, from the spectra of the
-        reference members with their sum, of the posteriors and of the
-        exchange blocks of each multiplicity."""
-        stacks = []
-        for ctx in ctxs:
-            live = ctx._live
-            p = ctx.probs[live][:, None, None]
-            elements = ctx.instr.povm_elements[live].transpose(0, 2, 1)
-            members = ctx.psi @ elements @ ctx.psi.conj().T
-            stacks.append(np.concatenate([members / p, members.sum(axis=0)[None]]))
-            stacks.append(ctx.posteriors[live] / p)
-            stacks += [
-                ctx.exchange[kraus[:, :, None], kraus[:, None, :]] / ctx.probs[idx][:, None, None]
-                for idx, kraus in ctx._groups
-            ]
-        spectra = _state_entropies(stacks)
-        out, start = [], 0
-        for ctx in ctxs:
-            n = len(ctx._live)
-            s = spectra[start : start + 3 * n + 1]
-            out.append((ctx._per_outcome(np.concatenate([s[:n], s[n + 1 :]])), float(s[n])))
-            start += 3 * n + 1
-        return out
-
-    @property
-    def state_side(self) -> np.ndarray:
-        """S(R|m), S(Qp|m), S(App|m) from the members, posteriors and
-        exchange blocks."""
-        return self._state[0]
-
-    @property
-    def s_reference(self) -> float:
-        """S(R) of the reference ensemble's average, sum_m psi P_m^T psi†."""
-        return self._state[1]
-
-    def iota_routes(self) -> tuple[float, float]:
-        """(purification route, chi route of the reference ensemble)."""
-        route_a = float(self.s_input - self.weights @ self.pure_side[:, 0])
-        route_b = float(self.s_reference - self.weights @ self.state_side[:, 0])
-        return _clip_nonneg(route_a), _clip_nonneg(route_b)
-
-    def delta_routes(self) -> tuple[float, float]:
-        """(purification route, posterior-and-exchange route)."""
-        pure, state = self.pure_side, self.state_side
-        route_a = float(self.s_input - self.weights @ (pure[:, 1] - pure[:, 2]))
-        route_b = float(self.s_reference - self.weights @ (state[:, 1] - state[:, 2]))
-        return _clip_nonneg(route_a), _clip_nonneg(route_b)
-
-    def noise_routes(self) -> tuple[float, float]:
-        """(state route, purification route) of sum_m p_m I(R:App|m)."""
-        pure, state = self.pure_side, self.state_side
-        route_a = float(self.weights @ (state[:, 0] + state[:, 2] - state[:, 1]))
-        route_b = float(self.weights @ (pure[:, 0] + pure[:, 2] - pure[:, 1]))
-        return _clip_nonneg(route_a), _clip_nonneg(route_b)
-
-    def disturbance_no_outcomes(self) -> float:
-        output = self.posteriors.sum(axis=0)
-        s_output, s_exchange = _state_entropies([output[None], self.exchange[None]])
-        return float(self.s_input - s_output + s_exchange)
-
-    def groenewold(self) -> float:
-        return float(self.s_input - self.weights @ self.state_side[:, 1])
-
-    def single_outcome(self, idx: int) -> tuple[float, float, float]:
-        """(iota_m, delta_m) from the purification side, noise_m from the
-        state side, so iota_m + noise_m = delta_m is a cross-check."""
-        s_r, s_q, s_a = self.pure_side[idx].tolist()
-        state_r, state_q, state_a = self.state_side[idx].tolist()
-        noise_m = _clip_nonneg(state_r + state_a - state_q)
-        return self.s_input - s_r, self.s_input - s_q + s_a, noise_m
+        return self.at[0].mapped[self.at[1]]
 
 
 @lru_cache(maxsize=1)
 def _analysis(instr: Instrument, rho: LabeledState) -> _Analysis:
-    """The analysis of the pair, kept until a call asks for another pair.
-
-    Instruments and states compare by identity and cannot be changed, so a
-    kept analysis is never stale; it is the one place where the per-pair
-    entry points of this module and of :mod:`infobalance.recovery` share
-    their work.
-    """
+    """The analysis of the pair, kept until a call asks for another pair;
+    instruments and states compare by identity and cannot change."""
     return _Analysis(instr, rho)
 
 
-def _require_agree(name: str, a: float, b: float) -> None:
+#: the measures whose two routes must agree, in the order they are checked
+_MEASURES = ("information gain", "disturbance", "missing information")
+#: the keys of ``BalanceReport.residual_routes``, in order
+_RESIDUALS = ("iota_routes", "delta_routes", "noise_routes", "iota_aggregation",
+              "delta_aggregation", "noise_aggregation", "single_outcome_balance")
+
+
+def _disagreement(i: int, a: float, b: float) -> NumericalInconsistency:
+    return NumericalInconsistency(f"{_MEASURES[i]}: independent routes disagree, {a!r} vs {b!r}")
+
+
+def _route(instr: Instrument, rho: LabeledState, i: int) -> float:
+    """Route a of measure ``i`` of the pair, once both routes agree."""
+    group, k = _analysis(instr, rho).at
+    a, b = group.routes[2 * i : 2 * i + 2, k].tolist()
     if abs(a - b) > ROUTE_ATOL:
-        raise NumericalInconsistency(
-            f"{name}: independent routes disagree, {a!r} vs {b!r}"
-        )
+        raise _disagreement(i, a, b)
+    return a
 
 
 def information_gain(instr: Instrument, rho: LabeledState) -> float:
@@ -435,30 +453,25 @@ def information_gain(instr: Instrument, rho: LabeledState) -> float:
     and as the chi quantity of the POVM-induced reference ensemble; the two
     must agree within 1e-9.  Depends on the instrument only through its POVM.
     """
-    a, b = _analysis(instr, rho).iota_routes()
-    _require_agree("information gain", a, b)
-    return a
+    return _route(instr, rho, 0)
 
 
 def disturbance(instr: Instrument, rho: LabeledState) -> float:
     """Disturbance delta in bits, with the outcome register kept."""
-    a, b = _analysis(instr, rho).delta_routes()
-    _require_agree("disturbance", a, b)
-    return a
+    return _route(instr, rho, 1)
 
 
 def disturbance_no_outcomes(instr: Instrument, rho: LabeledState) -> float:
     """Disturbance of the outcome-averaged channel; >= disturbance by data
     processing, and a strictly looser figure whenever outcomes help."""
-    return _analysis(instr, rho).disturbance_no_outcomes()
+    group, k = _analysis(instr, rho).at
+    return float(group.dno[k])
 
 
 def noise_delta(instr: Instrument, rho: LabeledState) -> float:
     """Missing information Delta = I(R:App|X) in bits; zero iff every outcome
     leaves reference and apparatus in a product state."""
-    a, b = _analysis(instr, rho).noise_routes()
-    _require_agree("missing information", a, b)
-    return a
+    return _route(instr, rho, 2)
 
 
 def groenewold_gain(instr: Instrument, rho: LabeledState) -> float:
@@ -467,7 +480,8 @@ def groenewold_gain(instr: Instrument, rho: LabeledState) -> float:
     Unlike the information gain this depends on the particular state
     reduction maps and can be negative.
     """
-    return _analysis(instr, rho).groenewold()
+    group, k = _analysis(instr, rho).at
+    return float(group.routes[6, k])
 
 
 def single_outcome_quantities(
@@ -478,13 +492,13 @@ def single_outcome_quantities(
     iota_m and delta_m may be negative; noise_m is a mutual information and
     is not.  They satisfy iota_m + noise_m = delta_m.
     """
-    ctx = _analysis(instr, rho)
+    group, k = _analysis(instr, rho).at
     idx = instr.outcome_index(outcome)
-    if float(ctx.probs[idx]) <= PROB_EPS:
+    if float(group.probs[k, idx]) <= PROB_EPS:
         raise ZeroProbabilityOutcome(
-            f"outcome {outcome!r} has probability {ctx.probs[idx]:.3e}"
+            f"outcome {outcome!r} has probability {group.probs[k, idx]:.3e}"
         )
-    return ctx.single_outcome(idx)
+    return tuple(group.checks[k][1][idx][1:4])
 
 
 @dataclass(frozen=True)
@@ -524,16 +538,7 @@ class BalanceReport:
             "noise": self.noise,
             "iota_g": self.iota_g,
             "residual_balance": self.residual_balance,
-            "per_outcome": [
-                {
-                    "label": row.label,
-                    "p": row.p,
-                    "iota_m": row.iota_m,
-                    "delta_m": row.delta_m,
-                    "noise_m": row.noise_m,
-                }
-                for row in self.per_outcome
-            ],
+            "per_outcome": [dict(vars(row)) for row in self.per_outcome],
             "residual_routes": dict(self.residual_routes),
             "excluded_weight": self.excluded_weight,
         }
@@ -545,30 +550,71 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
     Raises :class:`NumericalInconsistency` if any pair of independent routes
     disagrees beyond 1e-9 or the balance identity residual exceeds 1e-9.
     Outcomes with probability at or below 1e-12 are excluded from the table;
-    their total weight is reported, never silently renormalized.  The
-    spectra come from the batch functions of :func:`balance_reports`, run
-    on a batch of one.
+    their total weight is reported, never silently renormalized.  The pair
+    is a group of one of :func:`balance_reports`.
     """
     return _report(_analysis(instr, rho))
 
 
-def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[BalanceReport]:
-    """:func:`balance_report` of every (instrument, state) pair, in one pass.
+def _report(ctx: _Analysis) -> BalanceReport:
+    return ctx.at[0].report(ctx.at[1])
 
-    Each kind of spectrum is one stacked ``numpy.linalg`` call per matrix
-    shape over all the pairs, and pairs that share a state object share its
-    decomposition and purification, so pairs of shapes already in the batch
-    add no SVD or ``eigvalsh`` call.  Every report is bit for bit the one
-    :func:`balance_report` gives for its pair.  The pairs are checked in
-    order as they are taken, and an error raised by the checks of pair
-    ``k`` carries the note ``pair k of the batch``.  The batch holds the
-    analysis of every pair, with its ``(K, d_out, d_in)`` arrays, until it
-    returns, so its memory grows with the number of pairs.
+
+#: bytes (as :func:`_pair_bytes` estimates them) of one balance_reports block
+_BLOCK_BYTES = 1 << 22
+
+
+def _pair_bytes(instr: Instrument) -> int:
+    """About the bytes an analysis of a pair with ``instr`` holds: complex
+    ``(d_in + d_out)²`` per Kraus operator, and 4 KiB of Python objects."""
+    kraus = sum(om.multiplicity for om in instr.outcomes)
+    return 16 * kraus * (instr.d_in + instr.d_out) ** 2 + 4096
+
+
+def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[BalanceReport]:
+    """:func:`balance_report` of every (instrument, state) pair, bit for bit.
+
+    Pairs are taken in blocks of about ``_BLOCK_BYTES``.  A block's
+    instruments are validated as stacks, its pairs of one signature (d_in,
+    d_out, multiplicities) analysed as one :class:`_Group`, and its analyses
+    dropped once its reports are built, so memory grows with the block, not
+    the batch.  Errors come in the order of the pairs: one raised by the
+    checks of pair ``k`` carries the note ``pair k of the batch``, and one
+    raised while taking a pair comes after those of the pairs before it.
     """
-    ctxs = [_noted(k, _analysis, *pair) for k, pair in enumerate(pairs)]
-    for part in (_Analysis.psi, _Analysis.s_input, _Analysis.pure_side, _Analysis._state):
-        part.fill(ctxs)
-    return [_noted(k, _report, ctx) for k, ctx in enumerate(ctxs)]
+    source, reports, done = iter(pairs), [], False
+    while not done:
+        block, size, failure = [], 0, None
+        try:
+            for pair in source:
+                block.append(pair)
+                size += _pair_bytes(pair[0])
+                if size >= _BLOCK_BYTES:
+                    break
+            else:
+                done = True
+        except Exception as exc:  # raised once the pairs before it are checked
+            failure, done = exc, True
+        reports += _block_reports(block, len(reports))
+        if failure is not None:
+            raise failure
+    return reports
+
+
+def _block_reports(pairs: list, offset: int) -> list[BalanceReport]:
+    """The reports of a block whose first pair is pair ``offset`` of the batch."""
+    _validate_each([instr for instr, _ in pairs])
+    ctxs = [_noted(offset + k, _analysis, *pair) for k, pair in enumerate(pairs)]
+    groups: dict[tuple, list[_Analysis]] = {}
+    for ctx in dict.fromkeys(ctxs):
+        key = (ctx.instr.d_in, ctx.instr.d_out, *(om.multiplicity for om in ctx.instr.outcomes))
+        groups.setdefault(key, []).append(ctx)
+    for members in groups.values():
+        group = _Group(members)
+        for k, ctx in enumerate(members):
+            ctx.__dict__["at"] = (group, k)
+        group.checks  # every spectrum of the group; a kernel's error names no pair
+    return [_noted(offset + k, _report, ctx) for k, ctx in enumerate(ctxs)]
 
 
 def _noted(k: int, fn, *args):
@@ -579,53 +625,3 @@ def _noted(k: int, fn, *args):
         # as BaseException.add_note, which Python 3.10 lacks
         exc.__notes__ = [*getattr(exc, "__notes__", []), f"pair {k} of the batch"]
         raise
-
-
-def _report(ctx: _Analysis) -> BalanceReport:
-    """The balance report of one analysed pair, after every route check."""
-    iota_a, iota_b = ctx.iota_routes()
-    delta_a, delta_b = ctx.delta_routes()
-    noise_a, noise_b = ctx.noise_routes()
-    _require_agree("information gain", iota_a, iota_b)
-    _require_agree("disturbance", delta_a, delta_b)
-    _require_agree("missing information", noise_a, noise_b)
-
-    rows = []
-    excluded = 0.0
-    agg_iota = agg_delta = agg_noise = 0.0
-    worst_single = 0.0
-    for idx, label in enumerate(ctx.instr.outcome_labels):
-        p = float(ctx.probs[idx])
-        if p <= PROB_EPS:
-            excluded += max(p, 0.0)
-            continue
-        iota_m, delta_m, noise_m = ctx.single_outcome(idx)
-        rows.append(OutcomeBalance(label, p, iota_m, delta_m, noise_m))
-        agg_iota += p * iota_m
-        agg_delta += p * delta_m
-        agg_noise += p * noise_m
-        worst_single = max(worst_single, abs(iota_m + noise_m - delta_m))
-
-    residual = abs(iota_a + noise_a - delta_a)
-    if residual > BALANCE_ATOL:
-        raise NumericalInconsistency(
-            f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
-        )
-    return BalanceReport(
-        iota=iota_a,
-        delta=delta_a,
-        noise=noise_a,
-        iota_g=ctx.groenewold(),
-        per_outcome=tuple(rows),
-        residual_balance=residual,
-        residual_routes={
-            "iota_routes": abs(iota_a - iota_b),
-            "delta_routes": abs(delta_a - delta_b),
-            "noise_routes": abs(noise_a - noise_b),
-            "iota_aggregation": abs(agg_iota - iota_a),
-            "delta_aggregation": abs(agg_delta - delta_a),
-            "noise_aggregation": abs(agg_noise - noise_a),
-            "single_outcome_balance": worst_single,
-        },
-        excluded_weight=excluded,
-    )

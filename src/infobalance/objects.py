@@ -120,7 +120,8 @@ class Instrument:
     @cached_property
     def povm_elements(self) -> np.ndarray:
         """Read-only ``(n, d_in, d_in)`` stack of the POVM elements sum_k E_k† E_k."""
-        return _read_only(np.stack([o.povm_element() for o in self.outcomes]))
+        mults = [o.multiplicity for o in self.outcomes]
+        return _read_only(_povm_sums(self.kraus_stack[None], mults))[0]
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,71 @@ def validate(instr: Instrument) -> ValidationReport:
 
     Never raises; all failures are carried in the report.
     """
+    [report] = _validation_reports([instr])
+    return report
+
+
+def _validate_each(instrs) -> None:
+    """Give every instrument of ``instrs`` its kept ``validation_report``;
+    those that lack one are checked by one :func:`_validation_reports`."""
+    todo = [i for i in dict.fromkeys(instrs) if "validation_report" not in i.__dict__]
+    for instr, report in zip(todo, _validation_reports(todo)):
+        instr.__dict__["validation_report"] = report  # where cached_property keeps it
+
+
+def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
+    """:func:`validate` of each instrument.
+
+    The instruments whose Kraus operators all have the expected shape are
+    checked as one stack per signature (d_in, d_out, multiplicities): one
+    ``isfinite`` over the Kraus operators, one product for every E†E (see
+    :func:`_povm_sums`) and one stacked ``eigh`` of the POVM elements; each
+    report is bit for bit that of the instrument alone.  Finite instruments
+    of the right shapes keep the Kraus stack and POVM elements so computed.
+    """
+    reports: list = [None] * len(instrs)
+    groups: dict[tuple, list[int]] = {}
+    for i, instr in enumerate(instrs):
+        shape = (instr.d_out, instr.d_in)
+        if min(shape) >= 1 and instr.outcomes and all(
+            e.shape == shape for o in instr.outcomes for e in o.kraus
+        ):
+            mults = tuple(o.multiplicity for o in instr.outcomes)
+            groups.setdefault((shape, mults), []).append(i)
+        else:
+            reports[i] = _malformed(instr)
+    for ((_, d_in), mults), idx in groups.items():
+        stack = np.array([[e for o in instrs[i].outcomes for e in o.kraus] for i in idx])
+        finite = np.isfinite(stack).all(axis=(2, 3)).tolist()
+        ok = [all(row) for row in finite]
+        for i, row in zip(idx, finite):
+            if not all(row):
+                kraus = [(o.label, j) for o in instrs[i].outcomes for j in range(o.multiplicity)]
+                issues = tuple(f"non-finite entries: outcome {label!r} Kraus {j}"
+                               for (label, j), good in zip(kraus, row) if not good)
+                reports[i] = ValidationReport(False, float("inf"), True, {}, issues)
+        idx = [i for i, good in zip(idx, ok) if good]
+        if not idx:
+            continue
+        stack = _read_only(stack if all(ok) else stack[ok])
+        elements = _read_only(_povm_sums(stack, mults))
+        # summed in outcome order: as adding to zero, up to the sign of zeros
+        total = elements.cumsum(axis=1)[:, -1]
+        tp_deviation = np.abs(total - np.eye(d_in)).max(axis=(1, 2)).tolist()
+        # eigh, not eigvalsh: its largest eigenvalues are bit for bit those of
+        # eig_hermitian on each element, so outcome_excess prints unchanged
+        excess = (np.linalg.eigh(_hermitian(elements))[0][..., -1] - 1.0).tolist()
+        for b, i in enumerate(idx):
+            instr = instrs[i]
+            instr.__dict__.setdefault("kraus_stack", stack[b])
+            instr.__dict__.setdefault("povm_elements", elements[b])
+            reports[i] = _numeric_report(instr, tp_deviation[b], excess[b])
+    return reports
+
+
+def _malformed(instr: Instrument) -> ValidationReport:
+    """The failing report of an instrument without outcomes, with a
+    dimension below 1 or a Kraus operator of the wrong shape."""
     issues: list[str] = []
     dims_ok = True
     if instr.d_in < 1 or instr.d_out < 1:
@@ -146,7 +212,6 @@ def validate(instr: Instrument) -> ValidationReport:
         issues.append(f"dimensions: d_in={instr.d_in}, d_out={instr.d_out}")
     if not instr.outcomes:
         issues.append("instrument has no outcomes")
-        return ValidationReport(False, float("inf"), dims_ok, {}, tuple(issues))
     for o in instr.outcomes:
         for j, e in enumerate(o.kraus):
             if e.shape != (instr.d_out, instr.d_in):
@@ -157,30 +222,38 @@ def validate(instr: Instrument) -> ValidationReport:
                 )
             elif not np.isfinite(e).all():
                 issues.append(f"non-finite entries: outcome {o.label!r} Kraus {j}")
-    if issues:
-        return ValidationReport(False, float("inf"), dims_ok, {}, tuple(issues))
+    return ValidationReport(False, float("inf"), dims_ok, {}, tuple(issues))
 
-    outcome_excess: dict[str, float] = {}
-    total = np.zeros((instr.d_in, instr.d_in), dtype=complex)
-    # eigh, not eigvalsh: its largest eigenvalues are bit for bit those of
-    # eig_hermitian on each element, so outcome_excess prints unchanged
-    top = np.linalg.eigh(_hermitian(instr.povm_elements))[0][:, -1]
-    for o, p_el, w_max in zip(instr.outcomes, instr.povm_elements, top.tolist()):
-        total += p_el
-        excess = w_max - 1.0
-        outcome_excess[o.label] = excess
-        if excess > TP_ATOL:
-            issues.append(
-                f"complete positivity (trace nonincreasing): outcome {o.label!r} "
-                f"has sum E†E exceeding identity by {excess:.3e}"
-            )
-    tp_deviation = float(np.max(np.abs(total - np.eye(instr.d_in))))
+
+def _numeric_report(instr: Instrument, tp_deviation: float, excess: list) -> ValidationReport:
+    """The report of a finite instrument of the right shapes, from its
+    max |sum E†E - 1| and the excess over 1 of each element's top eigenvalue."""
+    issues = [
+        f"complete positivity (trace nonincreasing): outcome {o.label!r} "
+        f"has sum E†E exceeding identity by {e:.3e}"
+        for o, e in zip(instr.outcomes, excess) if e > TP_ATOL
+    ]
     if tp_deviation > TP_ATOL:
         issues.append(
             f"trace preservation: max |sum E†E - 1| = {tp_deviation:.3e} "
             f"exceeds {TP_ATOL:.0e}"
         )
-    return ValidationReport(not issues, tp_deviation, dims_ok, outcome_excess, tuple(issues))
+    outcome_excess = dict(zip(instr.outcome_labels, excess))
+    return ValidationReport(not issues, tp_deviation, True, outcome_excess, tuple(issues))
+
+
+def _povm_sums(kraus: np.ndarray, mults) -> np.ndarray:
+    """POVM elements ``(B, n, d_in, d_in)`` of Kraus stacks ``(B, K, d_out,
+    d_in)`` whose outcomes have multiplicities ``mults``: one product for
+    every E†E, added to zero in Kraus order as :meth:`OutcomeMap.povm_element`
+    adds them."""
+    products = kraus.conj().swapaxes(2, 3) @ kraus
+    starts = [sum(mults[:m]) for m in range(len(mults))]
+    out = products[:, starts] + 0.0
+    for j in range(1, max(mults)):
+        has = [m for m, k in enumerate(mults) if k > j]
+        out[:, has] += products[:, [starts[m] + j for m in has]]
+    return out
 
 
 def require_valid(instr: Instrument) -> None:
@@ -236,7 +309,8 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
 
 
 def _check_factored_povm(
-    c: np.ndarray, v: np.ndarray, deficit: np.ndarray, labels, atol: float = TP_ATOL
+    c: np.ndarray, v: np.ndarray, deficit: np.ndarray, labels, atol: float = TP_ATOL,
+    *, deficit_low: np.ndarray | None = None,
 ) -> None:
     """:func:`_check_povm_stack` of POVMs whose elements are ``c_i |v_i><v_i|``
     for weights ``c`` ``(..., k)`` and vectors ``v`` ``(..., k, d)``, then
@@ -244,13 +318,17 @@ def _check_factored_povm(
 
     The checks, their order and their messages are those of the stacked
     check.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
-    it is read directly; the deficit is screened as a stacked element is.
+    it is read directly; the deficit is screened as a stacked element is,
+    unless ``deficit_low`` gives the result of a screen at a tolerance of at
+    most ``atol``: the lowest eigenvalue of each deficit, or zeros where the
+    screen passed.
     """
     finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
     deficit_finite = np.isfinite(deficit).all(axis=(-2, -1))
     _require_finite(np.concatenate([finite, deficit_finite[..., None]], axis=-1), labels)
     rank1 = c * np.sum(np.abs(v) ** 2, axis=-1)
-    deficit_low = _lowest_eigenvalues(deficit, atol)
+    if deficit_low is None:
+        deficit_low = _lowest_eigenvalues(deficit, atol)
     if deficit_low is None:
         deficit_low = np.zeros(rank1.shape[:-1])
     _require_psd(np.concatenate([rank1, deficit_low[..., None]], axis=-1), labels, atol)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -339,6 +341,27 @@ class TestHolevoCheck:
         monkeypatch.setattr(ib.encodings, "_BLOCK_BYTES", 1)
         one_by_one = ib.holevo_check(inp, instr, 29, 5)
         assert one_by_one.to_dict() == blocked.to_dict()
+
+    @pytest.mark.parametrize("block_bytes, blocks", [(None, 1), (1, 29)])
+    def test_one_cholesky_per_block(self, monkeypatch, block_bytes, blocks):
+        # the deficit screen of the POVM draw also serves the POVM check
+        instr = ib.random_instrument(6, 3, 3, 2, 2)
+        inp = ib.purify(random_state(np.random.default_rng(6), 3))
+        if block_bytes is not None:
+            monkeypatch.setattr(ib.encodings, "_BLOCK_BYTES", block_bytes)
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+        ib.holevo_check(inp, instr, 29, 5)
+        assert len(calls) == blocks
+
+    def test_numpy_integer_arguments_give_a_json_report(self):
+        report = ib.holevo_check(
+            ib.purify(qstate([0.5, 0.5])), ib.projective(), np.int64(10), np.int64(3)
+        )
+        assert type(report.n_trials) is int and type(report.seed) is int
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert (doc["n_trials"], doc["seed"]) == (10, 3)
 
     # max_classical_mi of the loop that built and scored one trial at a time
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -558,13 +559,14 @@ class TestCallBudget:
 
     @pytest.mark.parametrize("family", sorted(ib.FAMILIES))
     def test_sweep(self, calls, capsys, family):
-        # one stacked call per matrix shape, however many grid points share it
+        # one stacked call per matrix shape, however many grid points share
+        # it, and one stacked eigh validates every grid instrument
         def spectra(points):
             for name in calls:
                 calls[name] = 0
             assert cli.main(["sweep", "--family", family, "--points", points, "--quiet"]) == 0
             capsys.readouterr()
-            return calls["svd"], calls["eigvalsh"]
+            return calls["svd"], calls["eigvalsh"], calls["eigh"]
 
         assert spectra("21") == spectra("5")
 
@@ -752,6 +754,126 @@ class TestBatch:
             ib.balance_reports(pairs)
         assert type(info.value) is ib.NumericalInconsistency
         assert info.value.__notes__ == ["pair 2 of the batch"]
+
+
+def group_pairs(rng):
+    """2-8 pairs of one signature (d_in, d_out, multiplicities): instruments
+    with a null outcome "z" and mixed multiplicities, and states that do or
+    do not see "z", of random rank, some of them one shared state object."""
+    d, d_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    mults = [int(k) for k in rng.integers(1, 4, int(rng.integers(1, 4)))]
+    if d_out * sum(mults) < d:
+        mults.append(d)
+    shared = None
+    pairs = []
+    for _ in range(int(rng.integers(2, 9))):
+        instr = with_null_outcome(sliced_instrument(rng, d, d_out, mults))
+        if shared is not None and rng.random() < 0.4:
+            rho = shared
+        else:
+            rank = int(rng.integers(1, 2 * d + 1))
+            rho = random_density(rng, 2 * d, rank)
+            if rng.random() < 0.5:  # on the first half only: "z" is excluded
+                rho = np.pad(random_density(rng, d, min(rank, d)), ((0, d), (0, d)))
+            rho = shared = labeled([("Q", 2 * d)], rho)
+        pairs.append((instr, rho))
+    return pairs
+
+
+def faulty(instr, fault):
+    """``instr`` with its first Kraus operator made faulty."""
+    first, *rest = instr.outcomes
+    e, *others = first.kraus
+    e = {"nan": np.where(np.eye(*e.shape, dtype=bool), np.nan, e),
+         "cp": 1.5 * e, "tp": 0.9 * e, "shape": np.pad(e, ((0, 1), (0, 0)))}[fault]
+    return ib.Instrument(instr.d_in, instr.d_out,
+                         (ib.OutcomeMap(first.label, (e, *others)), *rest))
+
+
+class TestGroups:
+    """Pairs of one signature are analysed and validated as one stack."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_group_reports_equal_cold_reports(self, seed):
+        pairs = group_pairs(np.random.default_rng(seed))
+        assert len({(i.d_in, i.d_out, tuple(o.multiplicity for o in i.outcomes))
+                    for i, _ in pairs}) == 1
+        batch = [_bits(r.to_dict()) for r in ib.balance_reports(pairs)]
+        for instr, rho in pairs:
+            measures._analysis.cache_clear()
+            cold = (dataclasses.replace(instr), rho)
+            assert batch.pop(0) == _bits(ib.balance_report(*cold).to_dict())
+
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_stacked_validation_equals_lone_validation(self, first):
+        rng = np.random.default_rng(30 + first)
+        instrs = [sliced_instrument(rng, 3, 2, [1, 2, 2]) for _ in range(8)]
+        for k, fault in zip(range(first, 8), ["nan", "cp", "tp", "shape"]):
+            instrs[k] = faulty(instrs[k], fault)
+        rho = random_state(rng, 3)
+        with pytest.raises(ib.InvalidInstrument) as info:
+            ib.balance_reports([(instr, rho) for instr in instrs])
+        assert info.value.__notes__ == [f"pair {first} of the batch"]
+        for instr in instrs:
+            lone = ib.validate(dataclasses.replace(instr))
+            assert _bits(vars(instr.validation_report)) == _bits(vars(lone))
+        assert [instr.validation_report.passed for instr in instrs].count(False) == 4
+
+    def test_sweep_of_21_points_is_one_block(self):
+        for family in ib.FAMILIES.values():
+            assert 21 * measures._pair_bytes(family(0.5)) <= measures._BLOCK_BYTES
+
+
+class TestBlocks:
+    """balance_reports takes its pairs in blocks and drops each block's
+    analyses once its reports are built."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        instr = ib.random_instrument(0, 2, 2, 2, 2)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 4 * measures._pair_bytes(instr))
+        return 4
+
+    def test_memory_holds_one_block(self, small_blocks):
+        rng = np.random.default_rng(40)
+        rho = random_state(rng, 2)
+        alive = []
+
+        def pairs():
+            refs = []
+            for k in range(30):
+                alive.append(sum(ref() is not None for ref in refs))
+                instr = ib.random_instrument(k, 2, 2, 2, 2)
+                refs.append(weakref.ref(instr))
+                yield instr, rho
+
+        reports = ib.balance_reports(pairs())
+        # the block being taken and the pair the library keeps
+        assert max(alive) <= small_blocks + 1
+        measures._analysis.cache_clear()
+        for k, report in enumerate(reports):
+            cold = ib.balance_report(ib.random_instrument(k, 2, 2, 2, 2), rho)
+            assert _bits(report.to_dict()) == _bits(cold.to_dict())
+
+    @pytest.mark.parametrize("bad, raising, named", [(5, 7, 5), (1, 6, 1), (6, 4, None)])
+    def test_errors_keep_the_order_of_the_pairs(self, small_blocks, bad, raising, named):
+        rng = np.random.default_rng(41)
+        rho = random_state(rng, 2)
+
+        def pairs():
+            for k in range(12):
+                if k == raising:
+                    raise ib.InfoBalanceError(f"cannot build pair {k}")
+                instr = ib.random_instrument(k, 2, 2, 2, 2)
+                yield (faulty(instr, "tp") if k == bad else instr), rho
+
+        with pytest.raises(ib.InfoBalanceError) as info:
+            ib.balance_reports(pairs())
+        if named is None:
+            assert str(info.value) == f"cannot build pair {raising}"
+        else:
+            assert type(info.value) is ib.InvalidInstrument
+            assert info.value.__notes__ == [f"pair {named} of the batch"]
 
 
 def zero_outcome_case(rng):
