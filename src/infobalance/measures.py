@@ -150,6 +150,12 @@ class _lazy:
         return value
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of x·y along the last axis, broadcast: per row the BLAS dot of ``x @ y``
+    on two vectors at these strides (that of ``np.vdot`` for a conjugated x)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays as one ``(B, ...)`` array; a lone array as a view of it."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
@@ -162,9 +168,8 @@ def _clipped(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _multiplicity_groups(mults: tuple[int, ...], live: tuple[bool, ...]) -> tuple:
-    """(outcome indices, their Kraus indices ``(L, mult)``) for each
-    multiplicity among the outcomes marked ``live``, by first appearance,
-    and all those outcomes in that order; kept, as the same few recur."""
+    """(outcome indices, their Kraus indices ``(L, mult)``) for each multiplicity
+    among the outcomes marked ``live``, by first appearance, and those outcomes in order."""
     groups: dict[int, list[int]] = {}
     for idx, (k, kept) in enumerate(zip(mults, live)):
         if kept:
@@ -226,7 +231,7 @@ class _Group:
         """T split as R against everything else ``(B, d_r, K·d_out)``, and its norm²."""
         t = self.amplitudes
         flat = t.reshape(len(t), -1)
-        return t.transpose(0, 2, 1, 3).reshape(len(t), t.shape[2], -1), np.vecdot(flat, flat).real
+        return t.transpose(0, 2, 1, 3).reshape(*t.shape[::2], -1), _dots(flat.conj(), flat).real
 
     @_lazy
     def s_input(self) -> np.ndarray:
@@ -237,10 +242,10 @@ class _Group:
 
     @_lazy
     def probs(self) -> np.ndarray:
-        """p_m ``(B, n)``; ``np.vecdot`` runs the BLAS dot of ``np.vdot``."""
+        """p_m ``(B, n)``."""
         t = self.amplitudes
         rows = [t[:, b : b + k].reshape(len(t), -1) for b, k in self.blocks]
-        return np.array([np.vecdot(x, x).real for x in rows]).T.copy()
+        return np.array([_dots(x.conj(), x).real for x in rows]).T.copy()
 
     @_lazy
     def weights(self) -> np.ndarray:
@@ -333,9 +338,9 @@ class _Group:
         I(R:App|m) (state, purification), clipped as by :func:`_clip_nonneg`; iota_G."""
         (sides, s_reference), s_input, w = self.sides, self.s_input, self.weights
         # per pair the BLAS dot of ``weights @ column``, at the column's stride
-        strided = np.vecdot(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
+        strided = _dots(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
         r, q, a = sides.transpose(3, 0, 1, 2).copy()  # each (2, B, n): purification, state
-        dots = np.vecdot(w, np.array([q - a, r + a - q]))  # (2, 2, B)
+        dots = _dots(w, np.array([q - a, r + a - q]))  # (2, 2, B)
         base = np.array([s_input, s_reference])
         routes = _clipped(np.concatenate([base - strided[:, 0], base - dots[0], dots[1, ::-1]]))
         return np.concatenate([routes, [s_input - strided[1, 1]]])
@@ -410,8 +415,7 @@ class _Analysis:
         return self.at[0].rho_eighs[self.at[0].slots[self.at[1]]]
 
     @property
-    def blocks(self) -> list[tuple[int, int]]:
-        """(start, multiplicity) of each outcome's Kraus operators in the stack."""
+    def blocks(self) -> list[tuple[int, int]]:  # (start, multiplicity) of each outcome
         return self.at[0].blocks
 
     @property
