@@ -18,12 +18,11 @@ Kraus operator.
 
 The joint state on [R, Qp, App, X] is never built: every quantity is an
 average over outcomes of small per-outcome spectra, each evaluated by two
-routes that share no matrix (see ``_Group``), pair by pair or for a stack of
-pairs of one shape at once.  The last pair's analysis is kept, so the entry
-points here and in :mod:`infobalance.recovery` share its work.  Negative
-round-off is clipped to zero only for quantities that are provably
-nonnegative.  The reference module :mod:`infobalance.dilation` builds the
-joint state instead.
+routes that share no matrix (see ``_Group``), for a stack of pairs of one
+shape at once.  The last pair's analysis is kept, so the entry points here and
+in :mod:`infobalance.recovery` share its work.  Negative round-off is clipped
+to zero only for provably nonnegative quantities.  The reference module
+:mod:`infobalance.dilation` builds the joint state instead.
 """
 
 from __future__ import annotations
@@ -150,10 +149,13 @@ class _lazy:
         return value
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of x·y along the last axis, broadcast: per row the BLAS dot of ``x @ y``
-    on two vectors at these strides (that of ``np.vdot`` for a conjugated x)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+def _matmul_vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vecdot`` (numpy >= 2) as matmuls: per row the same BLAS dot, same strides."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+#: per row the BLAS dot of ``x @ y`` (real) or ``np.vdot(x, y)`` (complex)
+_vecdot = getattr(np, "vecdot", _matmul_vecdot)
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -231,7 +233,7 @@ class _Group:
         """T split as R against everything else ``(B, d_r, K·d_out)``, and its norm²."""
         t = self.amplitudes
         flat = t.reshape(len(t), -1)
-        return t.transpose(0, 2, 1, 3).reshape(*t.shape[::2], -1), _dots(flat.conj(), flat).real
+        return t.transpose(0, 2, 1, 3).reshape(*t.shape[::2], -1), _vecdot(flat, flat).real
 
     @_lazy
     def s_input(self) -> np.ndarray:
@@ -245,7 +247,7 @@ class _Group:
         """p_m ``(B, n)``."""
         t = self.amplitudes
         rows = [t[:, b : b + k].reshape(len(t), -1) for b, k in self.blocks]
-        return np.array([_dots(x.conj(), x).real for x in rows]).T.copy()
+        return np.array([_vecdot(x, x).real for x in rows]).T.copy()
 
     @_lazy
     def weights(self) -> np.ndarray:
@@ -338,9 +340,9 @@ class _Group:
         I(R:App|m) (state, purification), clipped as by :func:`_clip_nonneg`; iota_G."""
         (sides, s_reference), s_input, w = self.sides, self.s_input, self.weights
         # per pair the BLAS dot of ``weights @ column``, at the column's stride
-        strided = _dots(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
+        strided = _vecdot(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
         r, q, a = sides.transpose(3, 0, 1, 2).copy()  # each (2, B, n): purification, state
-        dots = _dots(w, np.array([q - a, r + a - q]))  # (2, 2, B)
+        dots = _vecdot(w, np.array([q - a, r + a - q]))  # (2, 2, B)
         base = np.array([s_input, s_reference])
         routes = _clipped(np.concatenate([base - strided[:, 0], base - dots[0], dots[1, ::-1]]))
         return np.concatenate([routes, [s_input - strided[1, 1]]])
@@ -498,10 +500,8 @@ def single_outcome_quantities(
     """
     group, k = _analysis(instr, rho).at
     idx = instr.outcome_index(outcome)
-    if float(group.probs[k, idx]) <= PROB_EPS:
-        raise ZeroProbabilityOutcome(
-            f"outcome {outcome!r} has probability {group.probs[k, idx]:.3e}"
-        )
+    if (p := float(group.probs[k, idx])) <= PROB_EPS:
+        raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
     return tuple(group.checks[k][1][idx][1:4])
 
 

@@ -824,6 +824,19 @@ class TestGroups:
             assert 21 * measures._pair_bytes(family(0.5)) <= measures._BLOCK_BYTES
 
 
+@pytest.mark.skipif(not hasattr(np, "vecdot"), reason="np.vecdot needs numpy 2")
+@given(st.integers(0, 2**32 - 1))
+def test_matmul_vecdot_is_vecdot_bit_for_bit(seed):
+    # numpy 1 runs the matmul form: the same BLAS dot per row, at the same strides
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    w = rng.random((3, n))
+    strided = rng.standard_normal((2, 3, n, 3)).transpose(0, 3, 1, 2)
+    z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    for x, y in ((w, strided), (w, strided.copy()), (z, z)):
+        assert np.array_equal(measures._matmul_vecdot(x, y), np.vecdot(x, y))
+
+
 class TestBlocks:
     """balance_reports takes its pairs in blocks and drops each block's
     analyses once its reports are built."""
