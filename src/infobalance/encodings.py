@@ -181,7 +181,7 @@ def _reference_draws(
 
 
 def _reference_factors(
-    g: np.ndarray, u: np.ndarray, s, labels=None
+    g: np.ndarray, u: np.ndarray, s
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors of reference POVMs from draws stacked over leading axes.
 
@@ -190,9 +190,7 @@ def _reference_factors(
     g_i; the weights are ``scale * u_i``, where ``scale`` makes the top
     eigenvalue of the rank-1 sum equal ``s``.  The last element is the dense
     ``deficit`` ``(..., dim, dim)``, which must be PSD (the message gives
-    the lowest eigenvalue of any deficit).  Given the element ``labels``,
-    the factors then pass :func:`_check_factored_povm`, which reuses this
-    screen of the deficits: one Cholesky factorization serves both.
+    the lowest eigenvalue of any deficit).
     """
     dim = g.shape[-1] // 2
     v = g[..., :dim] + 1j * g[..., dim:]
@@ -204,21 +202,14 @@ def _reference_factors(
     low = _lowest_eigenvalues(deficit, 1e-12)
     if low is not None and (min_eig := float(np.min(low))) < -1e-12:
         raise NumericalInconsistency(f"POVM deficit not PSD: {min_eig:.3e}")
-    c = scale[..., None] * u
-    if labels is not None:
-        # a screen passed at 1e-12 passes at any looser tolerance
-        screened = np.zeros(deficit.shape[:-2]) if low is None else low
-        _check_factored_povm(c, v, deficit, labels, deficit_low=screened)
-    return c, v, deficit
+    return scale[..., None] * u, v, deficit
 
 
-def _trial_factors(
-    children, dim: int, labels=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _trial_factors(children, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_reference_factors` stacked over the reference POVMs drawn
     from each :class:`numpy.random.SeedSequence` of ``children``."""
     draws = [_reference_draws(np.random.default_rng(child), dim) for child in children]
-    return _reference_factors(*(np.array(column) for column in zip(*draws)), labels)
+    return _reference_factors(*(np.array(column) for column in zip(*draws)))
 
 
 def _factored_joint(
@@ -292,7 +283,9 @@ def holevo_check(
     root = np.random.SeedSequence(rng_seed)
     best = 0.0
     for start in range(0, n_trials, block):
-        c, v, deficit = _trial_factors(root.spawn(min(block, n_trials - start)), dim, labels)
+        c, v, deficit = _trial_factors(root.spawn(min(block, n_trials - start)), dim)
+        # _reference_factors screened every deficit at -1e-12, which implies TP_ATOL
+        _check_factored_povm(c, v, deficit, labels, deficit_low=np.zeros(c.shape[:-1]))
         mi = float(_classical_mi(_factored_joint(inp, c, v, deficit, elements)).max())
         if mi > iota + HOLEVO_ATOL:
             raise NumericalInconsistency(

@@ -48,7 +48,7 @@ from .objects import (
     _validate_each,
     require_valid,
 )
-from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian, _read_only
+from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -102,7 +102,7 @@ def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
     for i, stack in enumerate(stacks):
         groups.setdefault(stack.shape[1:], []).append(i)
     rows = [decompose(np.concatenate([stacks[i] for i in idx])) for idx in groups.values()]
-    starts = np.cumsum([0] + [len(stack) for stack in stacks]).tolist()
+    starts = list(accumulate((len(stack) for stack in stacks), initial=0))
     out = np.zeros((starts[-1], max(r.shape[1] for r in rows)))
     for idx, r in zip(groups.values(), rows):
         at = 0
@@ -127,7 +127,9 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
 def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
     """Von Neumann entropy in bits of each (sub)normalized PSD matrix in the
     stacks ``(B, d, d)``: the state side's kernel, a stacked ``eigvalsh``."""
-    return _clipped(_entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m)))))
+    s = _entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m))))
+    s[(s >= -1e-9) & (s < 0.0)] = 0.0  # as _clip_nonneg
+    return s
 
 
 class _lazy:
@@ -149,13 +151,10 @@ class _lazy:
         return value
 
 
-def _matmul_vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.vecdot`` (numpy >= 2) as matmuls: per row the same BLAS dot, same strides."""
+def _vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row of the leading axes the BLAS dot of ``x @ y`` (real ``x``) or
+    ``np.vdot(x, y)`` (complex), at the rows' strides, as in ``np.vecdot``."""
     return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-#: per row the BLAS dot of ``x @ y`` (real) or ``np.vdot(x, y)`` (complex)
-_vecdot = getattr(np, "vecdot", _matmul_vecdot)
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -163,23 +162,16 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _clipped(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """:func:`_clip_nonneg` of every entry."""
-    return np.where((-tol <= x) & (x < 0.0), 0.0, x)
-
-
-@lru_cache(maxsize=64)
-def _multiplicity_groups(mults: tuple[int, ...], live: tuple[bool, ...]) -> tuple:
-    """(outcome indices, their Kraus indices ``(L, mult)``) for each multiplicity
-    among the outcomes marked ``live``, by first appearance, and those outcomes in order."""
-    groups: dict[int, list[int]] = {}
-    for idx, (k, kept) in enumerate(zip(mults, live)):
-        if kept:
-            groups.setdefault(k, []).append(idx)
-    starts = np.cumsum((0,) + mults)
-    pairs = [(_read_only(np.array(idx)), _read_only(starts[idx][:, None] + np.arange(k)))
-             for k, idx in groups.items()]
-    return pairs, _read_only(np.concatenate([idx for idx, _ in pairs]))
+def _runs(mults: tuple[int, ...], live) -> list[tuple[int, int, int]]:
+    """(first, end, multiplicity) of each run of consecutive outcomes marked
+    ``live`` that share a multiplicity, so a run's Kraus operators are a slice."""
+    runs: list[list[int]] = []
+    for m, (k, kept) in enumerate(zip(mults, live)):
+        if kept and runs and runs[-1][1:] == [m, k]:
+            runs[-1][1] = m + 1
+        elif kept:
+            runs.append([m, m + 1, k])
+    return [tuple(run) for run in runs]
 
 
 class _Group:
@@ -198,12 +190,14 @@ class _Group:
     Each part is computed on first use and kept, as numpy operations over
     the leading pair axis, and each pair's values are bit for bit those of a
     group of one.  Outcomes of probability at or below PROB_EPS enter no
-    spectrum and no sum: pairs are stacked by their set of kept outcomes.
+    spectrum and no sum: pairs are stacked by their set of kept outcomes, and
+    within it by runs of outcomes (:func:`_runs`), which slices select.
     """
 
     def __init__(self, ctxs: list[_Analysis]) -> None:
-        self.mults = tuple(om.multiplicity for om in ctxs[0].instr.outcomes)
-        self.blocks = list(zip(accumulate(self.mults, initial=0), self.mults))
+        self.mults = tuple(len(om.kraus) for om in ctxs[0].instr.outcomes)
+        self.starts = list(accumulate(self.mults, initial=0))
+        self.blocks = list(zip(self.starts, self.mults))
         self.labels = [ctx.instr.outcome_labels for ctx in ctxs]
         self.kraus = _stacked([ctx.instr.kraus_stack for ctx in ctxs])
         self.elements = _stacked([ctx.instr.povm_elements for ctx in ctxs])
@@ -244,10 +238,13 @@ class _Group:
 
     @_lazy
     def probs(self) -> np.ndarray:
-        """p_m ``(B, n)``."""
-        t = self.amplitudes
-        rows = [t[:, b : b + k].reshape(len(t), -1) for b, k in self.blocks]
-        return np.array([_vecdot(x, x).real for x in rows]).T.copy()
+        """p_m ``(B, n)``, the norm² of each outcome's amplitudes."""
+        t, starts = self.amplitudes, self.starts
+        probs = np.empty((len(t), len(self.mults)))
+        for a, b, _ in _runs(self.mults, [True] * len(self.mults)):
+            x = t[:, starts[a] : starts[b]].reshape(len(t), b - a, -1)
+            probs[:, a:b] = _vecdot(x, x).real
+        return probs
 
     @_lazy
     def weights(self) -> np.ndarray:
@@ -282,36 +279,36 @@ class _Group:
         """S(R|m), S(Qp|m), S(App|m) ``(2, B, n, 3)`` of the purification and
         the state side, 0 for excluded outcomes, and S(R) ``(B,)`` of the
         reference ensemble's average sum_m psi P_m^T psi†."""
-        t, (B, n) = self.amplitudes, self.probs.shape
+        t, starts, (B, n) = self.amplitudes, self.starts, self.weights.shape
         d_r, d_out = t.shape[2:]
         classes: dict[tuple, list[int]] = {}
         for b, live in enumerate((self.weights > 0.0).tolist()):
             classes.setdefault(tuple(live), []).append(b)
-        at, norms, summed, sums = [], [], [], []
-        parts: list[list[np.ndarray]] = [[] for _ in range(6)]
+        # the reference members are summed by multiplicity, by first appearance
+        rank = {k: i for i, k in enumerate(dict.fromkeys(self.mults))}
+        cells = np.arange(B * n).reshape(B, n)
+        at, norms, summed, totals, parts = [], [], [], [], [[] for _ in range(6)]
         for live, pairs in classes.items():
-            pairs = np.array(pairs)[:, None]
-            # outcomes in the order of the multiplicity groups, as stacked
-            groups, order = _multiplicity_groups(self.mults, live)
-            p, members = self.probs[pairs, order], self.members[pairs, order]
-            posteriors = self.posteriors[pairs, order]
-            summed.append(pairs[:, 0])
-            sums.append(members.sum(axis=1))
-            start = 0
-            for idx, kraus in groups:
-                k, cut = kraus.shape[1], slice(start, start + len(idx))
-                start += len(idx)
-                q = p[:, cut].reshape(-1, 1, 1)
-                x = t[pairs[..., None], kraus].reshape(-1, k, d_r, d_out)
+            pick = slice(None) if len(pairs) == B else np.array(pairs)
+            t_c, p_c, members, posteriors, exchange, cells_c = (
+                x[pick] for x in (t, self.probs, self.members, self.posteriors, self.exchange, cells))
+            order = sorted((m for m in range(n) if live[m]), key=lambda m: rank[self.mults[m]])
+            summed.append(pairs)
+            totals.append(members[:, order].sum(axis=1))
+            for a, b, k in _runs(self.mults, live):
+                q = p_c[:, a:b].reshape(-1, 1, 1)
+                x = t_c[:, starts[a] : starts[b]].reshape(-1, k, d_r, d_out)
                 parts[0].append(x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1))
                 parts[1].append(x.transpose(0, 3, 1, 2).reshape(len(x), d_out, -1))
                 parts[2].append(x.reshape(len(x), k, -1))
-                parts[3].append(members[:, cut].reshape(-1, d_r, d_r) / q)
-                parts[4].append(posteriors[:, cut].reshape(-1, d_out, d_out) / q)
-                w = self.exchange[pairs[..., None, None], kraus[:, :, None], kraus[:, None, :]]
-                parts[5].append(w.reshape(len(x), k, k) / q)
+                parts[3].append(members[:, a:b].reshape(-1, d_r, d_r) / q)
+                parts[4].append(posteriors[:, a:b].reshape(-1, d_out, d_out) / q)
+                # the diagonal (k, k) blocks of the run's rows and columns
+                w = exchange[:, starts[a] : starts[b], starts[a] : starts[b]]
+                w = w.reshape(-1, b - a, k, b - a, k).diagonal(axis1=1, axis2=3)
+                parts[5].append(w.transpose(0, 3, 1, 2).reshape(-1, k, k) / q)
                 norms.append(q.ravel())
-                at.append((pairs * n + idx).ravel())
+                at.append(cells_c[:, a:b].ravel())
         at, norms = np.concatenate(at), [np.concatenate(norms)] * 3
         # S(rho) in the same kernel call, if it is not yet known
         fresh = [] if "s_input" in self.__dict__ else [self._input_split()]
@@ -321,10 +318,10 @@ class _Group:
             self.__dict__["s_input"] = s[3 * len(at) :]
         out = np.zeros((2, B * n, 3))
         out[0, at] = s[: 3 * len(at)].reshape(3, -1).T
-        s = _state_entropies(parts[3] + parts[4] + parts[5] + sums)
+        s = _state_entropies(parts[3] + parts[4] + parts[5] + totals)
         out[1, at] = s[: 3 * len(at)].reshape(3, -1).T
         s_reference = np.empty(B)
-        s_reference[np.concatenate(summed)] = s[3 * len(at) :]
+        s_reference[sum(summed, [])] = s[3 * len(at) :]
         return out.reshape(2, B, n, 3), s_reference
 
     @_lazy
@@ -334,66 +331,69 @@ class _Group:
         return self.s_input - s[: len(self.rho)] + s[len(self.rho) :]
 
     @_lazy
-    def routes(self) -> np.ndarray:
-        """``(7, B)``: the two routes of iota (purification, reference ensemble),
-        delta (purification, posterior and exchange) and the noise sum_m p_m
-        I(R:App|m) (state, purification), clipped as by :func:`_clip_nonneg`; iota_G."""
-        (sides, s_reference), s_input, w = self.sides, self.s_input, self.weights
+    def tables(self) -> list[tuple]:
+        """Per pair, as Python floats: the two routes of iota (purification,
+        reference ensemble), delta (purification, posterior and exchange) and
+        the noise sum_m p_m I(R:App|m) (state, purification), clipped as by
+        :func:`_clip_nonneg`, then iota_G; S(rho); p_m; and the (purification,
+        state) rows of ``sides`` of each outcome."""
+        (sides, s_reference), w = self.sides, self.weights
         # per pair the BLAS dot of ``weights @ column``, at the column's stride
         strided = _vecdot(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
-        r, q, a = sides.transpose(3, 0, 1, 2).copy()  # each (2, B, n): purification, state
+        r, q, a = sides.transpose(3, 0, 1, 2)  # each (2, B, n): purification, state
         dots = _vecdot(w, np.array([q - a, r + a - q]))  # (2, 2, B)
-        base = np.array([s_input, s_reference])
-        routes = _clipped(np.concatenate([base - strided[:, 0], base - dots[0], dots[1, ::-1]]))
-        return np.concatenate([routes, [s_input - strided[1, 1]]])
+        s_input, routes = self.s_input.tolist(), []
+        for s_in, s_ref, (r_a, _, _, r_b, q_b, _, d_a, d_b, n_b, n_a) in zip(
+            s_input, s_reference.tolist(),
+            np.concatenate([strided.reshape(6, -1), dots.reshape(4, -1)]).T.tolist(),
+        ):
+            routes.append([*map(_clip_nonneg, (s_in - r_a, s_ref - r_b, s_in - d_a, s_ref - d_b,
+                                               n_a, n_b)), s_in - q_b])
+        return list(zip(routes, s_input, self.probs.tolist(), sides.transpose(1, 2, 0, 3).tolist()))
 
-    @_lazy
-    def checks(self) -> list[tuple[list[float], list[list[float]]]]:
-        """Per pair, as Python numbers: its report's scalars (``routes``, their
-        gaps, the balance and the three aggregation residuals, the worst
-        single-outcome balance, the excluded weight) and (p_m, iota_m, delta_m,
-        noise_m, kept) per outcome, noise_m from the state side."""
-        (r, s_r), (q, s_q), (a, s_a) = self.sides[0].transpose(3, 0, 1, 2)
-        s_input, w, probs, routes = self.s_input, self.weights, self.probs, self.routes
-        s_in = s_input[:, None]
-        values = np.array([s_in - r, s_in - q + a, _clipped(s_r + s_a - s_q)])
-        # the p_m-weighted values of the outcomes kept and the weight max(p_m, 0)
-        # of the others, each summed in outcome order from 0.0, as a loop adds
-        terms = np.concatenate([w * values, [np.maximum(probs, 0.0) - w]])
-        sums = np.add.accumulate(terms, axis=2)[..., -1] + 0.0
-        route_a = routes[0:6:2]
-        single = np.abs(values[0] + values[2] - values[1])  # 0 for an excluded outcome
-        scalars = np.concatenate([
-            routes, np.abs(route_a - routes[1:6:2]), [np.abs(route_a[0] + route_a[2] - route_a[1])],
-            np.abs(sums[:3] - route_a), [np.fmax.reduce(single, axis=1, initial=0.0)], sums[3:],
-        ]).T.tolist()
-        outcomes = np.concatenate([[probs], values, [w > 0.0]]).transpose(1, 2, 0).tolist()
-        return list(zip(scalars, outcomes))
+    def outcome(self, k: int, m: int) -> tuple[float, float, float]:
+        """(iota_m, delta_m) of outcome m of pair k from the purification side,
+        noise_m from the state side, so iota_m + noise_m = delta_m is a cross-check."""
+        _, s_input, _, sides = self.tables[k]
+        (s_r, s_q, s_a), (state_r, state_q, state_a) = sides[m]
+        return s_input - s_r, s_input - s_q + s_a, _clip_nonneg(state_r + state_a - state_q)
 
     def report(self, k: int) -> BalanceReport:
-        """The balance report of pair k, after every route check."""
-        scalars, outcomes = self.checks[k]
-        routes, gaps, residual = scalars[:6], scalars[7:10], scalars[10]
-        for i, gap in enumerate(gaps):
-            if gap > ROUTE_ATOL:
+        """The balance report of pair k, after every route check.  Its sums
+        over outcomes are Python float sums, outcome by outcome."""
+        routes, _, probs, _ = self.tables[k]
+        iota, delta, noise = routes[0:6:2]
+        for i in range(3):
+            if abs(routes[2 * i] - routes[2 * i + 1]) > ROUTE_ATOL:
                 raise _disagreement(i, *routes[2 * i : 2 * i + 2])
+        rows, excluded, worst = [], 0.0, 0.0
+        sums = [0.0, 0.0, 0.0]
+        for m, (label, p) in enumerate(zip(self.labels[k], probs)):
+            if p <= PROB_EPS:
+                excluded += max(p, 0.0)
+                continue
+            values = self.outcome(k, m)
+            rows.append(OutcomeBalance(label, p, *values))
+            sums = [total + p * value for total, value in zip(sums, values)]
+            iota_m, delta_m, noise_m = values
+            worst = max(worst, abs(iota_m + noise_m - delta_m))
+        residual = abs(iota + noise - delta)
         if residual > BALANCE_ATOL:
             raise NumericalInconsistency(
                 f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
             )
+        gaps = [abs(routes[i] - routes[i + 1]) for i in range(0, 6, 2)]
         return BalanceReport(
-            iota=routes[0],
-            delta=routes[2],
-            noise=routes[4],
-            iota_g=scalars[6],
-            per_outcome=tuple(
-                OutcomeBalance(label, p, iota_m, delta_m, noise_m)
-                for label, (p, iota_m, delta_m, noise_m, kept) in zip(self.labels[k], outcomes)
-                if kept
-            ),
+            iota=iota,
+            delta=delta,
+            noise=noise,
+            iota_g=routes[6],
+            per_outcome=tuple(rows),
             residual_balance=residual,
-            residual_routes=dict(zip(_RESIDUALS, gaps + scalars[11:15])),
-            excluded_weight=scalars[15],
+            residual_routes=dict(zip(_RESIDUALS, [
+                *gaps, *(abs(total - route) for total, route in zip(sums, (iota, delta, noise))), worst,
+            ])),
+            excluded_weight=excluded,
         )
 
 
@@ -446,7 +446,7 @@ def _disagreement(i: int, a: float, b: float) -> NumericalInconsistency:
 def _route(instr: Instrument, rho: LabeledState, i: int) -> float:
     """Route a of measure ``i`` of the pair, once both routes agree."""
     group, k = _analysis(instr, rho).at
-    a, b = group.routes[2 * i : 2 * i + 2, k].tolist()
+    a, b = group.tables[k][0][2 * i : 2 * i + 2]
     if abs(a - b) > ROUTE_ATOL:
         raise _disagreement(i, a, b)
     return a
@@ -487,7 +487,7 @@ def groenewold_gain(instr: Instrument, rho: LabeledState) -> float:
     reduction maps and can be negative.
     """
     group, k = _analysis(instr, rho).at
-    return float(group.routes[6, k])
+    return group.tables[k][0][6]
 
 
 def single_outcome_quantities(
@@ -502,7 +502,7 @@ def single_outcome_quantities(
     idx = instr.outcome_index(outcome)
     if (p := float(group.probs[k, idx])) <= PROB_EPS:
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
-    return tuple(group.checks[k][1][idx][1:4])
+    return group.outcome(k, idx)
 
 
 @dataclass(frozen=True)
@@ -617,8 +617,12 @@ def _block_reports(pairs: list, offset: int) -> list[BalanceReport]:
         group = _Group(members)
         for k, ctx in enumerate(members):
             ctx.__dict__["at"] = (group, k)
-        group.checks  # every spectrum of the group; a kernel's error names no pair
-    return [_noted(offset + k, _report, ctx) for k, ctx in enumerate(ctxs)]
+        group.tables  # every spectrum of the group; a kernel's error names no pair
+    try:
+        return [_noted(offset + k, _report, ctx) for k, ctx in enumerate(ctxs)]
+    finally:
+        if ctxs:  # the pair the memo keeps is again a group of one, at one pair's cost
+            ctxs[-1].__dict__.pop("at", None)
 
 
 def _noted(k: int, fn, *args):

@@ -319,9 +319,8 @@ def _check_factored_povm(
     The checks, their order and their messages are those of the stacked
     check.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
     it is read directly; the deficit is screened as a stacked element is,
-    unless ``deficit_low`` gives the result of a screen at a tolerance of at
-    most ``atol``: the lowest eigenvalue of each deficit, or zeros where the
-    screen passed.
+    unless the caller has screened it already: then ``deficit_low`` stands
+    for its lowest eigenvalues, zeros for a passed screen.
     """
     finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
     deficit_finite = np.isfinite(deficit).all(axis=(-2, -1))

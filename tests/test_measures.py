@@ -824,19 +824,6 @@ class TestGroups:
             assert 21 * measures._pair_bytes(family(0.5)) <= measures._BLOCK_BYTES
 
 
-@pytest.mark.skipif(not hasattr(np, "vecdot"), reason="np.vecdot needs numpy 2")
-@given(st.integers(0, 2**32 - 1))
-def test_matmul_vecdot_is_vecdot_bit_for_bit(seed):
-    # numpy 1 runs the matmul form: the same BLAS dot per row, at the same strides
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 40))
-    w = rng.random((3, n))
-    strided = rng.standard_normal((2, 3, n, 3)).transpose(0, 3, 1, 2)
-    z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    for x, y in ((w, strided), (w, strided.copy()), (z, z)):
-        assert np.array_equal(measures._matmul_vecdot(x, y), np.vecdot(x, y))
-
-
 class TestBlocks:
     """balance_reports takes its pairs in blocks and drops each block's
     analyses once its reports are built."""
@@ -867,6 +854,20 @@ class TestBlocks:
         for k, report in enumerate(reports):
             cold = ib.balance_report(ib.random_instrument(k, 2, 2, 2, 2), rho)
             assert _bits(report.to_dict()) == _bits(cold.to_dict())
+
+    def test_kept_pair_costs_one_pair(self, monkeypatch):
+        # the pair the library keeps after a batch is a group of one again
+        rho = random_state(np.random.default_rng(42), 2)
+        pairs = [(ib.random_instrument(k, 2, 2, 2, 2), rho) for k in range(6)]
+        ib.balance_reports(pairs)
+        shapes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+        dno = ib.disturbance_no_outcomes(*pairs[-1])
+        # one output state and one exchange matrix, not one of each per pair
+        assert sorted(shapes) == [(1, 2, 2), (1, 4, 4)]
+        measures._analysis.cache_clear()
+        assert dno == ib.disturbance_no_outcomes(*pairs[-1])
 
     @pytest.mark.parametrize("bad, raising, named", [(5, 7, 5), (1, 6, 1), (6, 4, None)])
     def test_errors_keep_the_order_of_the_pairs(self, small_blocks, bad, raising, named):
