@@ -88,34 +88,49 @@ def shannon_entropy(probs: Sequence[float]) -> float:
 # -- per-measurement analysis --------------------------------------------------
 
 
+def _padded(spectra: list[np.ndarray]) -> np.ndarray:
+    """Rows of every ``(B, k)`` array of spectra in one array, zero-padded on
+    the right to the widest ``k``."""
+    out = np.zeros((sum(len(s) for s in spectra), max(s.shape[1] for s in spectra)))
+    row = 0
+    for s in spectra:
+        out[row : row + len(s), : s.shape[1]] = s
+        row += len(s)
+    return out
+
+
 def _entropy_rows(x: np.ndarray) -> np.ndarray:
-    """Minus the sum, left to right, of x log2 x along each row, entries at or
-    below ENTROPY_CUTOFF counting as exact zeros, so zero padding adds nothing."""
-    x = np.where(x <= ENTROPY_CUTOFF, 1.0, x)  # 1 log2 1 is an exact zero
+    """Minus the sum of x log2 x along each row, entries at or below
+    ENTROPY_CUTOFF counting as exact zeros.  The sum runs left to right, so
+    zero padding never changes a row's value."""
+    x = x.copy()
+    x[x <= ENTROPY_CUTOFF] = 1.0  # 1 log2 1 is an exact zero
     return -(x * np.log2(x)).cumsum(axis=1)[:, -1]
 
 
 def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
-    """The rows ``decompose`` gives for the matrices of ``stacks`` ``(B, ...)``, in
-    order, zero-padded to the widest: one stacked call per matrix shape."""
+    """The rows ``decompose`` gives for the matrices of ``stacks`` ``(B, ...)``,
+    in order and :func:`_padded`: one stacked call per distinct matrix shape."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, stack in enumerate(stacks):
         groups.setdefault(stack.shape[1:], []).append(i)
-    rows = [decompose(np.concatenate([stacks[i] for i in idx])) for idx in groups.values()]
-    starts = list(accumulate((len(stack) for stack in stacks), initial=0))
-    out = np.zeros((starts[-1], max(r.shape[1] for r in rows)))
-    for idx, r in zip(groups.values(), rows):
-        at = 0
+    parts: list[np.ndarray] = [None] * len(stacks)
+    for idx in groups.values():
+        rows = decompose(np.concatenate([stacks[i] for i in idx]))
+        start = 0
         for i in idx:
-            out[starts[i] : starts[i + 1], : r.shape[1]] = r[at : at + len(stacks[i])]
-            at += len(stacks[i])
-    return out
+            parts[i] = rows[start : start + len(stacks[i])]
+            start += len(stacks[i])
+    return _padded(parts)
 
 
 def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
-    """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p)
-    of the stacks ``splits`` ``(B, rows, cols)``, whose norms² p ``probs``
-    holds in order: the purification side's kernel, a stacked SVD."""
+    """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p).
+
+    ``splits`` are stacks ``(B, rows, cols)`` of amplitude matrices, one
+    stacked SVD per matrix shape; ``probs`` holds the norms² p of all their
+    matrices in order.  This is the purification side's kernel.
+    """
     s = _spectra(splits, lambda a: np.linalg.svd(a, compute_uv=False))
     x = s * s / probs[:, None]
     if (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
@@ -126,9 +141,10 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
 
 def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
     """Von Neumann entropy in bits of each (sub)normalized PSD matrix in the
-    stacks ``(B, d, d)``: the state side's kernel, a stacked ``eigvalsh``."""
+    stacks ``(B, d, d)``, one stacked ``eigvalsh`` per matrix shape.  This
+    is the state side's kernel."""
     s = _entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m))))
-    s[(s >= -1e-9) & (s < 0.0)] = 0.0  # as _clip_nonneg
+    s[(s >= -1e-9) & (s < 0.0)] = 0.0
     return s
 
 
@@ -165,13 +181,13 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
 def _runs(mults: tuple[int, ...], live) -> list[tuple[int, int, int]]:
     """(first, end, multiplicity) of each run of consecutive outcomes marked
     ``live`` that share a multiplicity, so a run's Kraus operators are a slice."""
-    runs: list[list[int]] = []
+    runs: list[tuple[int, int, int]] = []
     for m, (k, kept) in enumerate(zip(mults, live)):
-        if kept and runs and runs[-1][1:] == [m, k]:
-            runs[-1][1] = m + 1
+        if kept and runs and runs[-1][1:] == (m, k):
+            runs[-1] = (runs[-1][0], m + 1, k)
         elif kept:
-            runs.append([m, m + 1, k])
-    return [tuple(run) for run in runs]
+            runs.append((m, m + 1, k))
+    return runs
 
 
 class _Group:
@@ -187,11 +203,10 @@ class _Group:
     (Schumacher, PRA 54, 2614, 1996), each over p_m.  The sides share no
     matrix, so every comparison between them is a numerical cross-check.
 
-    Each part is computed on first use and kept, as numpy operations over
-    the leading pair axis, and each pair's values are bit for bit those of a
-    group of one.  Outcomes of probability at or below PROB_EPS enter no
-    spectrum and no sum: pairs are stacked by their set of kept outcomes, and
-    within it by runs of outcomes (:func:`_runs`), which slices select.
+    Each part is computed on first use over the leading pair axis, bit for
+    bit as in a group of one.  Outcomes of probability at or below PROB_EPS
+    enter no spectrum and no sum: pairs are taken by their set of kept
+    outcomes, and those by runs (:func:`_runs`), which slices select.
     """
 
     def __init__(self, ctxs: list[_Analysis]) -> None:
@@ -279,23 +294,22 @@ class _Group:
         """S(R|m), S(Qp|m), S(App|m) ``(2, B, n, 3)`` of the purification and
         the state side, 0 for excluded outcomes, and S(R) ``(B,)`` of the
         reference ensemble's average sum_m psi P_m^T psi†."""
-        t, starts, (B, n) = self.amplitudes, self.starts, self.weights.shape
+        t, starts, mults, (B, n) = self.amplitudes, self.starts, self.mults, self.weights.shape
         d_r, d_out = t.shape[2:]
         classes: dict[tuple, list[int]] = {}
         for b, live in enumerate((self.weights > 0.0).tolist()):
             classes.setdefault(tuple(live), []).append(b)
-        # the reference members are summed by multiplicity, by first appearance
-        rank = {k: i for i, k in enumerate(dict.fromkeys(self.mults))}
         cells = np.arange(B * n).reshape(B, n)
         at, norms, summed, totals, parts = [], [], [], [], [[] for _ in range(6)]
         for live, pairs in classes.items():
             pick = slice(None) if len(pairs) == B else np.array(pairs)
-            t_c, p_c, members, posteriors, exchange, cells_c = (
-                x[pick] for x in (t, self.probs, self.members, self.posteriors, self.exchange, cells))
-            order = sorted((m for m in range(n) if live[m]), key=lambda m: rank[self.mults[m]])
+            arrays = (t, self.probs, self.members, self.posteriors, self.exchange, cells)
+            t_c, p_c, members, posteriors, exchange, cells_c = (x[pick] for x in arrays)
+            # the members summed in the order of their multiplicities' first appearance
+            order = [m for k in dict.fromkeys(mults) for m in range(n) if live[m] and mults[m] == k]
             summed.append(pairs)
             totals.append(members[:, order].sum(axis=1))
-            for a, b, k in _runs(self.mults, live):
+            for a, b, k in _runs(mults, live):
                 q = p_c[:, a:b].reshape(-1, 1, 1)
                 x = t_c[:, starts[a] : starts[b]].reshape(-1, k, d_r, d_out)
                 parts[0].append(x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1))
@@ -325,18 +339,17 @@ class _Group:
         return out.reshape(2, B, n, 3), s_reference
 
     @_lazy
-    def dno(self) -> np.ndarray:
-        """Disturbance of the outcome-averaged channel ``(B,)``."""
-        s = _state_entropies([self.posteriors.sum(axis=1), self.exchange])
-        return self.s_input - s[: len(self.rho)] + s[len(self.rho) :]
+    def dno(self) -> list[float]:
+        """Disturbance of the outcome-averaged channel of each pair."""
+        s, B = _state_entropies([self.posteriors.sum(axis=1), self.exchange]), len(self.rho)
+        return [a - b + c for a, b, c in zip(self.s_input.tolist(), s[:B].tolist(), s[B:].tolist())]
 
     @_lazy
     def tables(self) -> list[tuple]:
-        """Per pair, as Python floats: the two routes of iota (purification,
-        reference ensemble), delta (purification, posterior and exchange) and
-        the noise sum_m p_m I(R:App|m) (state, purification), clipped as by
-        :func:`_clip_nonneg`, then iota_G; S(rho); p_m; and the (purification,
-        state) rows of ``sides`` of each outcome."""
+        """Per pair, as Python floats: the routes of iota (purification, reference
+        ensemble), delta (purification, posterior and exchange) and the noise
+        (state, purification), clipped as by :func:`_clip_nonneg`, and iota_G;
+        S(rho); p_m; and the rows of ``sides`` of each outcome."""
         (sides, s_reference), w = self.sides, self.weights
         # per pair the BLAS dot of ``weights @ column``, at the column's stride
         strided = _vecdot(w, sides.transpose(0, 3, 1, 2))  # (2, 3, B)
@@ -359,42 +372,31 @@ class _Group:
         return s_input - s_r, s_input - s_q + s_a, _clip_nonneg(state_r + state_a - state_q)
 
     def report(self, k: int) -> BalanceReport:
-        """The balance report of pair k, after every route check.  Its sums
-        over outcomes are Python float sums, outcome by outcome."""
+        """The balance report of pair k, after every route check; its sums over
+        outcomes are Python float sums, outcome by outcome."""
         routes, _, probs, _ = self.tables[k]
-        iota, delta, noise = routes[0:6:2]
         for i in range(3):
             if abs(routes[2 * i] - routes[2 * i + 1]) > ROUTE_ATOL:
                 raise _disagreement(i, *routes[2 * i : 2 * i + 2])
-        rows, excluded, worst = [], 0.0, 0.0
-        sums = [0.0, 0.0, 0.0]
+        rows, sums, excluded, worst = [], [0.0, 0.0, 0.0], 0.0, 0.0
         for m, (label, p) in enumerate(zip(self.labels[k], probs)):
             if p <= PROB_EPS:
                 excluded += max(p, 0.0)
                 continue
-            values = self.outcome(k, m)
+            iota_m, delta_m, noise_m = values = self.outcome(k, m)
             rows.append(OutcomeBalance(label, p, *values))
             sums = [total + p * value for total, value in zip(sums, values)]
-            iota_m, delta_m, noise_m = values
             worst = max(worst, abs(iota_m + noise_m - delta_m))
+        iota, delta, noise = measures = routes[0:6:2]
         residual = abs(iota + noise - delta)
         if residual > BALANCE_ATOL:
             raise NumericalInconsistency(
                 f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
             )
-        gaps = [abs(routes[i] - routes[i + 1]) for i in range(0, 6, 2)]
-        return BalanceReport(
-            iota=iota,
-            delta=delta,
-            noise=noise,
-            iota_g=routes[6],
-            per_outcome=tuple(rows),
-            residual_balance=residual,
-            residual_routes=dict(zip(_RESIDUALS, [
-                *gaps, *(abs(total - route) for total, route in zip(sums, (iota, delta, noise))), worst,
-            ])),
-            excluded_weight=excluded,
-        )
+        gaps = [abs(a - b) for a, b in zip(measures, routes[1:6:2])]
+        gaps += [abs(total - a) for total, a in zip(sums, measures)] + [worst]
+        return BalanceReport(iota, delta, noise, routes[6], tuple(rows), residual,
+                             dict(zip(_RESIDUALS, gaps)), excluded)
 
 
 class _Analysis:
@@ -471,7 +473,7 @@ def disturbance_no_outcomes(instr: Instrument, rho: LabeledState) -> float:
     """Disturbance of the outcome-averaged channel; >= disturbance by data
     processing, and a strictly looser figure whenever outcomes help."""
     group, k = _analysis(instr, rho).at
-    return float(group.dno[k])
+    return group.dno[k]
 
 
 def noise_delta(instr: Instrument, rho: LabeledState) -> float:
@@ -536,16 +538,11 @@ class BalanceReport:
     excluded_weight: float
 
     def to_dict(self) -> dict:
-        return {
-            "iota": self.iota,
-            "delta": self.delta,
-            "noise": self.noise,
-            "iota_g": self.iota_g,
-            "residual_balance": self.residual_balance,
-            "per_outcome": [dict(vars(row)) for row in self.per_outcome],
-            "residual_routes": dict(self.residual_routes),
-            "excluded_weight": self.excluded_weight,
-        }
+        keys = ("iota", "delta", "noise", "iota_g", "residual_balance")
+        return {**{key: getattr(self, key) for key in keys},
+                "per_outcome": [dict(vars(row)) for row in self.per_outcome],
+                "residual_routes": dict(self.residual_routes),
+                "excluded_weight": self.excluded_weight}
 
 
 def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
@@ -578,13 +575,11 @@ def _pair_bytes(instr: Instrument) -> int:
 def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[BalanceReport]:
     """:func:`balance_report` of every (instrument, state) pair, bit for bit.
 
-    Pairs are taken in blocks of about ``_BLOCK_BYTES``.  A block's
-    instruments are validated as stacks, its pairs of one signature (d_in,
-    d_out, multiplicities) analysed as one :class:`_Group`, and its analyses
-    dropped once its reports are built, so memory grows with the block, not
-    the batch.  Errors come in the order of the pairs: one raised by the
-    checks of pair ``k`` carries the note ``pair k of the batch``, and one
-    raised while taking a pair comes after those of the pairs before it.
+    Pairs are taken in blocks of about ``_BLOCK_BYTES``: a block's instruments
+    are validated as stacks, its pairs of one signature (d_in, d_out,
+    multiplicities) analysed as one :class:`_Group`, and its analyses dropped
+    once its reports are built.  Errors come in the order of the pairs: one
+    raised by the checks of pair ``k`` carries the note ``pair k of the batch``.
     """
     source, reports, done = iter(pairs), [], False
     while not done:

@@ -111,7 +111,7 @@ def corrected_fidelity(
     """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m, read
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
     ctx = _analysis(instr, rho)
-    total = 0.0
+    mapped, total = ctx.mapped, 0.0
     for om, (start, k) in zip(instr.outcomes, ctx.blocks):
         if om.label not in family.outcome_labels:
             p = float(np.trace(om.apply(rho.matrix)).real)
@@ -126,7 +126,7 @@ def corrected_fidelity(
             if r.shape != shape:
                 raise DimensionMismatch(f"recovery Kraus shape {r.shape} is not {shape}")
         # Tr(rho R E) = vec(R) . vec((E rho)^T), without conjugation
-        e_rho_t = ctx.mapped[start : start + k].transpose(0, 2, 1).reshape(k, -1)
+        e_rho_t = mapped[start : start + k].transpose(0, 2, 1).reshape(k, -1)
         amps = np.reshape(recovery, (-1, e_rho_t.shape[1])) @ e_rho_t.T
         total += float(np.sum(np.abs(amps) ** 2))
     return total
