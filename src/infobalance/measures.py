@@ -387,14 +387,14 @@ class _Group:
             rows.append(OutcomeBalance(label, p, *values))
             sums = [total + p * value for total, value in zip(sums, values)]
             worst = max(worst, abs(iota_m + noise_m - delta_m))
-        iota, delta, noise = measures = routes[0:6:2]
+        iota, delta, noise = route_a = routes[0:6:2]
         residual = abs(iota + noise - delta)
         if residual > BALANCE_ATOL:
             raise NumericalInconsistency(
                 f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
             )
-        gaps = [abs(a - b) for a, b in zip(measures, routes[1:6:2])]
-        gaps += [abs(total - a) for total, a in zip(sums, measures)] + [worst]
+        gaps = [abs(a - b) for a, b in zip(route_a, routes[1:6:2])]
+        gaps += [abs(total - a) for total, a in zip(sums, route_a)] + [worst]
         return BalanceReport(iota, delta, noise, routes[6], tuple(rows), residual,
                              dict(zip(_RESIDUALS, gaps)), excluded)
 
