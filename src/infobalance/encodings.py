@@ -40,6 +40,10 @@ HOLEVO_ATOL = 1e-9
 #: bytes of the reference POVM factors (weights, vectors and deficit) that
 #: holevo_check scores at once; the result does not depend on it
 _BLOCK_BYTES = 1 << 18
+#: numpy's SeedSequence hash constants and PCG64's LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +209,75 @@ def _reference_factors(
     return scale[..., None] * u, v, deficit
 
 
-def _trial_factors(children, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_reference_factors` stacked over the reference POVMs drawn
-    from each :class:`numpy.random.SeedSequence` of ``children``."""
-    draws = [_reference_draws(np.random.default_rng(child), dim) for child in children]
+def _trial_factors(
+    rng: np.random.Generator, states: list[tuple[int, int]], dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_reference_factors` stacked over the reference POVMs that
+    ``rng``, a PCG64 generator, draws from each ``(state, inc)`` of ``states``."""
+    draws = []
+    for state, inc in states:
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draws.append(_reference_draws(rng, dim))
     return _reference_factors(*(np.array(column) for column in zip(*draws)))
+
+
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants ``init * mult**j mod 2**32`` for
+    ``j = start .. start + count``, as uint32."""
+    consts = [init * pow(mult, start, 1 << 32) & 0xFFFFFFFF]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``words`` (..., k), word j by ``consts[j]``
+    and ``consts[j + 1]`` of the k + 1 successive hash constants."""
+    v = (words ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix_word(pool: np.ndarray, word: np.ndarray, start: int) -> np.ndarray:
+    """Pools (B, 4) after SeedSequence mixes one entropy ``word`` (B,) into
+    each slot of ``pool`` (4,) or (B, 4), the hash constants running from
+    ``start``."""
+    v = _hashmix(word.astype(np.uint32)[:, None], _hash_constants(_INIT_A, _MULT_A, start, 4))
+    mixed = _MIX_L * pool - _MIX_R * v
+    return mixed ^ (mixed >> 16)
+
+
+def _child_states(
+    root: np.random.SeedSequence, first: int, count: int
+) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(child)`` for the children
+    ``first`` to ``first + count - 1`` of ``root``, hashed in one pass.
+
+    A child's entropy is the root's words, padded with zeros to four, then
+    its index: one 32-bit word, two from 2**32.  The padding hashes as the
+    root's empty pool slots do, so the child's pool is ``root.pool`` with
+    the index words mixed in.  ``generate_state(4, uint64)`` hashes the
+    pool twice over, and PCG64 seeds from the four words with two LCG steps.
+    """
+    keys = np.arange(first, first + count, dtype=np.uint64)
+    # hashmix calls before the index: 4 per pool slot and per seed word past 4
+    start = 4 * max(4, -(-int(root.entropy).bit_length() // 32))
+    pool = _mix_word(root.pool, keys & 0xFFFFFFFF, start)
+    if first + count > 1 << 32:
+        two = (keys >= 1 << 32)[:, None]
+        pool = np.where(two, _mix_word(pool, keys >> 32, start + 4), pool)
+    consts = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+    words = _hashmix(np.concatenate([pool, pool], axis=1), consts).astype("<u4").view("<u8")
+    states = []
+    for s_high, s_low, i_high, i_low in words.tolist():
+        inc = ((i_high << 65) | (i_low << 1) | 1) & _MASK128
+        state = (((s_high << 64) | s_low) + inc) * _PCG_MULT + inc
+        states.append((state & _MASK128, inc))
+    return states
 
 
 def _factored_joint(
@@ -264,7 +332,8 @@ def holevo_check(
     """Probe I(X:M) <= iota with random reference POVMs.
 
     Each trial draws its reference POVM from its own child of the master
-    seed, so the reported maximum does not depend on evaluation order.
+    seed, so the reported maximum does not depend on evaluation order; the
+    children's generator states are hashed a block at a time.
     Each POVM is kept as its factors, and trials are scored in blocks
     whose factors fit in ``_BLOCK_BYTES``.  Raises :class:`ParseError` unless
     ``n_trials`` and ``rng_seed`` are nonnegative integers, and
@@ -279,11 +348,14 @@ def holevo_check(
     labels = tuple(str(i) for i in range(dim + 2))
     # weights (8 bytes each), vectors and deficit (complex, 16 bytes an entry)
     block = max(1, _BLOCK_BYTES // (8 * (dim + 1) + 16 * (2 * dim + 1) * dim))
-    # spawning in blocks gives the same children as one spawn(n_trials)
+    # trial i draws from child i of the root, as root.spawn(n_trials) gives
+    # it, through one generator set to each child's state in turn
     root = np.random.SeedSequence(rng_seed)
+    rng = np.random.Generator(np.random.PCG64(root))
     best = 0.0
     for start in range(0, n_trials, block):
-        c, v, deficit = _trial_factors(root.spawn(min(block, n_trials - start)), dim)
+        states = _child_states(root, start, min(block, n_trials - start))
+        c, v, deficit = _trial_factors(rng, states, dim)
         # _reference_factors screened every deficit at -1e-12, which implies TP_ATOL
         _check_factored_povm(c, v, deficit, labels, deficit_low=np.zeros(c.shape[:-1]))
         mi = float(_classical_mi(_factored_joint(inp, c, v, deficit, elements)).max())

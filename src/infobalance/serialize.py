@@ -16,6 +16,9 @@ from .errors import InfoBalanceError, ParseError
 from .objects import Instrument, OutcomeMap, Povm
 from .tensors import LabeledState, Subsystem
 
+#: the least integer that rounds past the largest float
+_INT_LIMIT = 2**1024 - 2**970
+
 
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
@@ -28,7 +31,13 @@ def dumps_json(obj) -> str:
     return _emit(obj) + "\n"
 
 
+class _Fragment(str):
+    """JSON text that :func:`_emit` writes as it is."""
+
+
 def _emit(obj) -> str:
+    if type(obj) is _Fragment:
+        return obj
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -47,8 +56,15 @@ def _emit(obj) -> str:
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _matrix_out(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+def _matrix_out(m: np.ndarray) -> _Fragment:
+    """The row-major ``[re, im]`` arrays of ``m``, formatted as :func:`_emit`
+    formats the nested lists of floats."""
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    values = parts.ravel().tolist()
+    if not np.isfinite(parts).all():  # raise the writer's message for the first one
+        _fmt_float(next(x for x in values if not np.isfinite(x)))
+    row = "[" + ", ".join(["[%.17g, %.17g]"] * (parts.shape[1] // 2)) + "]"
+    return _Fragment(("[" + ", ".join([row] * parts.shape[0]) + "]") % tuple(values))
 
 
 def _loads(text: str) -> object:
@@ -71,23 +87,27 @@ def _matrix_in(node, where: str) -> np.ndarray:
     if not rows:
         raise ParseError(f"field {where!r}: empty matrix")
     width = None
-    out = []
     for i, row in enumerate(rows):
-        row = _expect(row, list, f"{where}[{i}]")
+        if type(row) is not list:
+            _expect(row, list, f"{where}[{i}]")
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ParseError(f"field {where!r}: row {i} has ragged length")
-        entries = []
         for j, z in enumerate(row):
-            z = _expect(z, list, f"{where}[{i}][{j}]")
-            if len(z) != 2 or not all(type(t) in (int, float) for t in z):
-                raise ParseError(
-                    f"field {where!r}[{i}][{j}]: complex entries are [re, im]"
-                )
-            entries.append(complex(z[0], z[1]))
-        out.append(entries)
-    return np.array(out, dtype=complex)
+            if type(z) is not list or len(z) != 2 or (
+                type(z[0]) is not float and type(z[0]) is not int
+                or type(z[1]) is not float and type(z[1]) is not int
+            ):
+                _expect(z, list, f"{where}[{i}][{j}]")
+                raise ParseError(f"field {where!r}[{i}][{j}]: complex entries are [re, im]")
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, z in enumerate(row)
+                    if any(type(t) is int and abs(t) >= _INT_LIMIT for t in z))
+        raise ParseError(f"field {where!r}[{i}][{j}]: integer too large for a float") from None
+    return values.view(complex).reshape(len(rows), width)
 
 
 # -- instruments -------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import infobalance as ib
 from infobalance import cli
 from infobalance.cli import main
+from conftest import qstate
 
 
 def run(capsys, *argv):
@@ -62,6 +63,39 @@ class TestNonFiniteInstrument:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: instrument invariant violated: non-finite entries")
         assert err.count("\n") == 1
+
+
+BIG_INTEGER = int("9" * 401)  # a JSON integer no float can hold
+
+
+class TestIntegerTooLargeForAFloat:
+    @pytest.fixture
+    def files(self, tmp_path):
+        doc = json.loads(ib.dumps_instrument(ib.projective()))
+        doc["outcomes"][0]["kraus"][0][1][0][0] = BIG_INTEGER
+        instrument = tmp_path / "instrument.json"
+        instrument.write_text(json.dumps(doc))
+        doc = json.loads(ib.dumps_state(qstate([0.5, 0.5])))
+        doc["matrix"][0][1][1] = -BIG_INTEGER
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        return str(instrument), str(state)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["validate", "INSTRUMENT"], "'outcomes[0].kraus[0]'[1][0]"),
+            (["analyze", "INSTRUMENT"], "'outcomes[0].kraus[0]'[1][0]"),
+            (["analyze", "family:filter", "--state", "STATE"], "'matrix'[0][1]"),
+        ],
+        ids=["validate", "analyze-file", "analyze-state-file"],
+    )
+    def test_parse_error_exit_2(self, capsys, files, argv, field):
+        instrument, state = files
+        argv = [{"INSTRUMENT": instrument, "STATE": state}.get(a, a) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: field {field}: integer too large for a float\n"
 
 
 class TestValidatedOnce:

@@ -208,6 +208,94 @@ def expanded(c, v, deficit):
     return np.concatenate([rank1, deficit[..., None, :, :]], axis=-3)
 
 
+def trial_factors(seed, count, dim):
+    """The stacked factors of trials 0 .. count-1 of ``seed``, as holevo_check draws them."""
+    states = ib.encodings._child_states(np.random.SeedSequence(seed), 0, count)
+    return ib.encodings._trial_factors(np.random.default_rng(0), states, dim)
+
+
+def pcg64_state(seed_sequence):
+    state = np.random.default_rng(seed_sequence).bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] == 0
+    return state["state"]["state"], state["state"]["inc"]
+
+
+class TestTrialSeeding:
+    """The vectorized SeedSequence hash against numpy's own children."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 7, 2**31 - 1, 2**32, 2**64 + 1, 2**130 + 3, np.int64(5)],
+        ids=["0", "7", "2^31-1", "2^32", "2^64+1", "2^130+3", "int64"],
+    )
+    def test_states_match_default_rng(self, seed):
+        states = ib.encodings._child_states(np.random.SeedSequence(seed), 0, 40)
+        children = np.random.SeedSequence(seed).spawn(40)
+        assert states == [pcg64_state(child) for child in children]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1, 2**130 + 3])
+    @pytest.mark.parametrize("first", [2**32 - 2, 2**32 + 5, 2**40 + 3, 2**63])
+    def test_two_word_spawn_keys(self, seed, first):
+        # a key from 2**32 on is two entropy words; a block may straddle 2**32
+        states = ib.encodings._child_states(np.random.SeedSequence(seed), first, 4)
+        expected = [
+            pcg64_state(np.random.SeedSequence(seed, spawn_key=(first + i,)))
+            for i in range(4)
+        ]
+        assert states == expected
+
+    @staticmethod
+    def spawned_maximum(inp, instr, n_trials, seed):
+        """max I(X:M) of the loop that drew each trial from default_rng(child)."""
+        enc = ib.encodings
+        best = 0.0
+        for child in np.random.SeedSequence(seed).spawn(n_trials):
+            draws = enc._reference_draws(np.random.default_rng(child), inp.r_dim)
+            c, v, deficit = enc._reference_factors(*(np.array([x]) for x in draws))
+            joint = enc._factored_joint(inp, c, v, deficit, instr.povm_elements)
+            best = max(best, float(enc._classical_mi(joint).max()))
+        return best
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 5000])
+    @pytest.mark.parametrize("d, rank", [(2, 2), (4, 2), (7, 7)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_maximum_matches_spawned_generators(self, monkeypatch, block_bytes, d, rank, seed):
+        instr = ib.random_instrument(d + seed % 97, d, 3, 2, 2)
+        inp = ib.purify(random_state(np.random.default_rng(d), d, rank))
+        if block_bytes is not None:
+            monkeypatch.setattr(ib.encodings, "_BLOCK_BYTES", block_bytes)
+        report = ib.holevo_check(inp, instr, 37, seed)
+        assert report.max_classical_mi.hex() == self.spawned_maximum(inp, instr, 37, seed).hex()
+
+    def test_call_budget(self, monkeypatch):
+        # one generator per call and no SeedSequence children, whatever the trial count
+        counts = {"default_rng": 0, "PCG64": 0, "spawn": 0, "children": 0}
+
+        class CountedSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                counts["children"] += bool(self.spawn_key)
+
+            def spawn(self, n_children):
+                counts["spawn"] += 1
+                return super().spawn(n_children)
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+        for name in ("default_rng", "PCG64"):
+            monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+        inp = ib.purify(random_state(np.random.default_rng(3), 3))
+        instr = ib.random_instrument(3, 3, 3, 2, 2)
+        counts["default_rng"] = 0
+        ib.holevo_check(inp, instr, 100, 9)
+        assert counts["default_rng"] + counts["PCG64"] <= 1, counts
+        assert counts["spawn"] == 0 and counts["children"] == 0, counts
+
+
 class TestFactoredEngine:
     @given(
         st.integers(0, 2**32 - 1),
@@ -223,7 +311,7 @@ class TestFactoredEngine:
         rho = random_state(np.random.default_rng(seed), d_in, min(rank, d_in))
         inp = ib.purify(rho)
         children = np.random.SeedSequence(seed).spawn(5)
-        c, v, deficit = ib.encodings._trial_factors(children, inp.r_dim)
+        c, v, deficit = trial_factors(seed, 5, inp.r_dim)
         labels = tuple(str(i) for i in range(inp.r_dim + 2))
         ib.objects._check_factored_povm(c, v, deficit, labels)
         tables = ib.encodings._factored_joint(inp, c, v, deficit, instr.povm_elements)
@@ -246,7 +334,7 @@ class TestFactoredEngine:
         self, factor, index, value, message
     ):
         # two trials at dim 3: elements '0'-'3' are rank 1, '4' is the deficit
-        factors = ib.encodings._trial_factors(np.random.SeedSequence(4).spawn(2), 3)
+        factors = trial_factors(4, 2, 3)
         factors[factor][index] = value
         labels = tuple(str(i) for i in range(5))
         with pytest.raises(ib.InvalidPovm, match=message) as dense:

@@ -186,3 +186,110 @@ def test_recovery_family_completion_must_be_bool(value):
     doc["channels"][0]["completion"] = value
     with pytest.raises(ib.ParseError, match=r"channels\[0\]\.completion"):
         ib.loads_recovery_family(json.dumps(doc))
+
+
+def nested_floats(m):
+    """The nested ``[re, im]`` lists that ``_matrix_out`` formats in one pass."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[-0.0, 5e-324], [1e308, -1e308]]),
+        np.array([[1.0, 2.0 - 3.0j], [-0.0j, 1e16 + 0.5j]]),
+        np.array([[complex(-0.0, -0.0), 2.5e-310j, 12345678901234567.0]]),
+        np.zeros((3, 0)),
+        np.eye(4)[:, ::2],
+        *(
+            np.random.default_rng(seed).standard_normal((r, c, 2)) @ [1, 1j]
+            for seed, (r, c) in enumerate([(1, 1), (2, 3), (5, 5), (8, 2)])
+        ),
+    ],
+    ids=["extremes", "integral", "negative-zero", "no-columns", "strided", *"abcd"],
+)
+def test_matrix_fragment_is_the_recursive_emit(matrix):
+    fragment = ib.serialize._matrix_out(matrix)
+    assert fragment == ib.serialize._emit(nested_floats(matrix))
+    assert ib.serialize._emit({"m": fragment}) == '{"m": ' + fragment + "}"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_matrix_fragment_rejects_non_finite(value):
+    matrix = np.eye(2, dtype=complex)
+    matrix[1, 0] = value
+    expected = next(x for x in np.ravel(nested_floats(matrix)) if not np.isfinite(x))
+    with pytest.raises(ib.ParseError, match=rf"^cannot serialize non-finite float {expected}$"):
+        ib.serialize._matrix_out(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("[[[1, 0], 5]]", "field 'matrix[0][1]': expected list, got int"),
+        ("[[[1, 0], [1]]]", "field 'matrix'[0][1]: complex entries are [re, im]"),
+        ("[[[1, 0], [1, 0, 0]]]", "field 'matrix'[0][1]: complex entries are [re, im]"),
+        ("[[[1, 0], [true, 0]]]", "field 'matrix'[0][1]: complex entries are [re, im]"),
+        ('[[[1, 0], [0, "1"]]]', "field 'matrix'[0][1]: complex entries are [re, im]"),
+        ("[[[1, 0], [null, 0]]]", "field 'matrix'[0][1]: complex entries are [re, im]"),
+        ("[[[1, 0], [0, 0]], [[0, 0]]]", "field 'matrix': row 1 has ragged length"),
+        ("[[[1, 0]], 3]", "field 'matrix[1]': expected list, got int"),
+        ("3", "field 'matrix': expected list, got int"),
+        ("[]", "field 'matrix': empty matrix"),
+    ],
+    ids=["non-list", "one-element", "three-elements", "true", "string", "null",
+         "ragged", "row-not-list", "not-list", "empty"],
+)
+def test_malformed_matrix_message(matrix, message):
+    text = '{"labels": [{"name": "Q", "dim": 2}], "matrix": %s}' % matrix
+    with pytest.raises(ib.ParseError) as exc:
+        ib.loads_state(text, validate_invariants=False)
+    assert str(exc.value) == message
+
+
+def test_integers_read_as_floats_bit_for_bit():
+    values = [0, 1, -7, 2**53 + 1, 2**63 + 1, -(2**64) - 3, 3**600, 2**1024 - 2**970 - 1]
+    node = json.loads(json.dumps([[[v, -v] for v in values]]))
+    matrix = ib.serialize._matrix_in(node, "matrix")
+    assert matrix.tobytes() == np.array([[complex(v, -v) for v in values]]).tobytes()
+
+
+BIG = "9" * 401
+
+
+def big_entry_docs():
+    """One malformed document per loader, each with a 401-digit integer entry."""
+    instr = json.loads(ib.dumps_instrument(ib.projective()))
+    instr["outcomes"][1]["kraus"][0][0][1] = [0, "BIG"]
+    state = json.loads(ib.dumps_state(qstate([0.5, 0.5])))
+    state["matrix"][1][0] = ["-BIG", 0]
+    povm = json.loads(ib.dumps_povm(ib.povm_of(ib.projective())))
+    povm["elements"][0]["matrix"][1][1] = [1, "BIG"]
+    family = json.loads(ib.dumps_recovery_family(ib.petz_family(ib.projective(), qstate([0.5, 0.5]))))
+    family["channels"][1]["outcomes"][0]["kraus"][0][0][0] = ["BIG", 0]
+    return [
+        (ib.loads_instrument, instr, "'outcomes[1].kraus[0]'[0][1]"),
+        (ib.loads_state, state, "'matrix'[1][0]"),
+        (ib.loads_povm, povm, "'elements[0].matrix'[1][1]"),
+        (ib.loads_recovery_family, family, "'outcomes[0].kraus[0]'[0][0]"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "load, doc, field", big_entry_docs(), ids=["instrument", "state", "povm", "recovery-family"]
+)
+def test_integer_too_large_for_a_float_is_a_parse_error(load, doc, field):
+    text = json.dumps(doc).replace('"-BIG"', "-" + BIG).replace('"BIG"', BIG)
+    assert BIG in text
+    with pytest.raises(ib.ParseError) as exc:
+        load(text)
+    assert str(exc.value) == f"field {field}: integer too large for a float"
+
+
+def test_least_integer_past_the_largest_float_is_a_parse_error():
+    # 2**1024 - 2**970 is halfway between the largest float and 2**1024
+    limit = 2**1024 - 2**970
+    with pytest.raises(OverflowError):
+        float(limit)
+    with pytest.raises(ib.ParseError, match=r"^field 'm'\[0\]\[1\]: integer too large for a float$"):
+        ib.serialize._matrix_in([[[0, 0], [1, -limit]]], "m")
