@@ -3,21 +3,14 @@
 For every outcome the transpose (Petz) channel
 ``sigma -> rho^{1/2} E† (E_m(rho))^{-1/2} sigma (E_m(rho))^{-1/2} E rho^{1/2}``
 is built, completed to trace preservation by sending the kernel of E_m(rho)
-to rho.  Every function here reads the (instrument, state) pair's analysis
-from :mod:`infobalance.measures`, which the balance shares: an instrument is
-validated once, a pair decomposes rho once (its square root and
-re-preparation vectors here, the purification there) and forms the products
-E_k rho once, and a family decomposes the posteriors E_m(rho) in one
-stacked ``eigh`` (inverse square root on the support, kernel).
-The corrected channel sum_m R_m ∘ E_m has entanglement fidelity
-F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², read from the pair's
-E_k rho with one product per outcome;
-:func:`infobalance.dilation.entanglement_fidelity` of the explicit composite
-Kraus list is its reference.  Disturbance <= eps
-guarantees F >= 1 - 4*sqrt(eps) for this family (the optimal family achieves
-1 - 2*sqrt(eps); the transpose channel is at most quadratically worse), and
-a Fano-type converse bounds the disturbance by a function of the fidelity
-deficit 1 - F.
+to rho.  A family is built from the pair's analysis in
+:mod:`infobalance.measures` (its eigh of rho and products E_k rho) as stacks
+over the outcomes.  The corrected channel sum_m R_m ∘ E_m has entanglement
+fidelity F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², one product per
+outcome; :func:`infobalance.dilation.entanglement_fidelity` is its reference.
+Disturbance <= eps guarantees F >= 1 - 4*sqrt(eps) for this family (the
+optimal family achieves 1 - 2*sqrt(eps)), and a Fano-type converse bounds
+the disturbance by a function of 1 - F.
 """
 
 from __future__ import annotations
@@ -26,109 +19,121 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingOutcome, ZeroProbabilityOutcome
-from .measures import _analysis, binary_entropy, disturbance
+from .errors import (DimensionMismatch, DuplicateLabel, InvalidInstrument, MissingOutcome,
+                     ZeroProbabilityOutcome)
+from .measures import _analysis, _runs, binary_entropy, disturbance
 from .objects import PROB_EPS, Instrument
 from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support, _on_support_eigh
 
 
 @dataclass(frozen=True, eq=False)
 class RecoveryFamily:
-    """One recovery channel (Kraus list, output -> input) per outcome."""
+    """One recovery channel (Kraus list, output -> input) and completion flag
+    per outcome label; labels are distinct and no channel is empty."""
 
     outcome_labels: tuple[str, ...]
     channels: tuple[tuple[np.ndarray, ...], ...]
     completion_flags: tuple[bool, ...]
 
+    def __post_init__(self) -> None:
+        labels, sizes = self.outcome_labels, (len(self.channels), len(self.completion_flags))
+        if sizes != (len(labels),) * 2:
+            raise DimensionMismatch(f"channels[{min(len(labels), *sizes)}]: {len(labels)} labels,"
+                                    " %d channels and %d completion flags" % sizes)
+        for i, (label, kraus) in enumerate(zip(labels, self.channels)):
+            if labels.index(label) < i:
+                raise DuplicateLabel(f"channels[{i}]: outcome {label!r} has a channel already")
+            if len(kraus) == 0:
+                raise InvalidInstrument(f"channels[{i}]: outcome {label!r} has no Kraus operators")
+
     def channel(self, label: str) -> tuple[np.ndarray, ...]:
-        try:
-            return self.channels[self.outcome_labels.index(label)]
-        except ValueError:
-            raise MissingOutcome(f"family has no channel for outcome {label!r}") from None
+        if label not in self.outcome_labels:
+            raise MissingOutcome(f"family has no channel for outcome {label!r}")
+        return self.channels[self.outcome_labels.index(label)]
 
 
-def _input_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From the ascending ``eigh`` ``(w, v)`` of rho: its square root on the
-    support, and the roots sqrt(w_i) and eigenvectors v_i of its eigenvalues
-    above PROB_EPS, from which a channel re-prepares rho."""
-    keep = w > PROB_EPS
-    return _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
+def _posteriors(ctx) -> tuple[np.ndarray, list[float]]:
+    """E_m(rho) ``(n, d_out, d_out)`` of the pair's outcomes, each summed from
+    zeros in Kraus order as by ``OutcomeMap.apply``, and their traces p_m."""
+    products = ctx.mapped @ ctx.instr.kraus_stack.conj().swapaxes(1, 2)
+    blocks, shape = ctx.blocks, products.shape[1:]
+    sigmas = np.zeros((len(blocks), *shape), dtype=complex)
+    for a, b, k in _runs([k for _, k in blocks], [True] * len(blocks)):
+        run = products[blocks[a][0] : blocks[b - 1][0] + k].reshape(b - a, k, *shape)
+        for j in range(k):  # the j-th Kraus operator of each outcome of the run
+            sigmas[a:b] += run[:, j]
+    return sigmas, sigmas.trace(axis1=1, axis2=2).real.tolist()
 
 
-def _reprepare_kraus(roots, vectors, onto: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators of sigma -> Tr[Pi sigma] * rho for Pi = onto basis,
-    with rho = sum_i roots_i² v_i v_i† over the columns v_i of ``vectors``."""
-    return [s * np.outer(v, k.conj()) for s, v in zip(roots, vectors.T) for k in onto.T]
-
-
-def _transpose_channels(outcomes, rho: np.ndarray, spectrum) -> list[tuple | None]:
-    """The transpose channel of each outcome, completed by re-preparing
-    ``rho`` on the kernel of E_m(rho); None where p_m ~ 0.  The posteriors
-    of the outcomes that occur are decomposed by one stacked ``eigh``."""
-    sigmas = [om.apply(rho) for om in outcomes]
-    live = [i for i, sigma in enumerate(sigmas) if float(np.trace(sigma).real) > PROB_EPS]
-    channels: list[tuple | None] = [None] * len(outcomes)
-    if not live:
-        return channels
-    sqrt_rho, roots, vectors = spectrum
-    inv_sqrt, w, v = _on_support_eigh(np.stack([sigmas[i] for i in live]), lambda x: x ** -0.5)
-    for j, i in enumerate(live):
-        recovery = [sqrt_rho @ e.conj().T @ inv_sqrt[j] for e in outcomes[i].kraus]
-        recovery += _reprepare_kraus(roots, vectors, v[j][:, w[j] <= SUPPORT_CUTOFF])
-        channels[i] = tuple(recovery)
-    return channels
+def _transpose_channels(ctx, pick, sigmas, probs) -> tuple[list[tuple], list[bool]]:
+    """The Kraus list of each outcome of ``pick`` and whether it is completed:
+    its transpose channel, completed by re-preparing rho on the kernel of
+    E_m(rho), or only that re-preparation on the whole output where p_m ~ 0."""
+    (w, v), blocks, d_out = ctx.rho_eigh, ctx.blocks, ctx.instr.d_out
+    keep = w > PROB_EPS  # rho is re-prepared from the eigenvalues above PROB_EPS
+    sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
+    ks = [blocks[m][1] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
+    live = [m for m, k in zip(pick, ks) if k]  # never empty: the p_m sum to 1
+    inv_sqrt, w, v = _on_support_eigh(sigmas[live], lambda x: x ** -0.5)
+    rows = [blocks[m][0] + i for m in live for i in range(blocks[m][1])]
+    recovery = list(sqrt_rho @ ctx.instr.kraus_stack[rows].conj().swapaxes(1, 2)
+                    @ inv_sqrt.repeat([k for k in ks if k], axis=0))
+    onto, kernel = v.conj().swapaxes(1, 2), w <= SUPPORT_CUTOFF  # rows k_j† of the bases
+    if len(live) < len(pick):
+        at = [i - j for j, i in enumerate(i for i, k in enumerate(ks) if not k)]
+        onto, kernel = np.insert(onto, at, np.eye(d_out), 0), np.insert(kernel, at, True, 0)
+    onto = onto[kernel]
+    reprepare = vectors.T[:, None, :, None] * onto[None, :, None, :]  # sqrt(w_i) v_i k_j† of
+    np.multiply(roots[:, None, None, None], reprepare, out=reprepare)  # root i and basis row j
+    reprepare = [list(row) for row in reprepare]
+    channels, first, col = [], 0, 0
+    for k, q in zip(ks, kernel.sum(axis=1).tolist()):
+        channels.append((*recovery[first : first + k],
+                         *[x for row in reprepare for x in row[col : col + q]]))
+        first, col = first + k, col + q
+    return channels, [len(kraus) > k for kraus, k in zip(channels, ks)]
 
 
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
     """Transpose-channel recovery for one outcome, completed to trace
     preservation by re-preparing ``rho`` on the kernel of E_m(rho)."""
-    ctx = _analysis(instr, rho)
-    om = instr.outcome(outcome)
-    [kraus] = _transpose_channels([om], rho.matrix, _input_spectrum(*ctx.rho_eigh))
-    if kraus is None:
-        p = float(np.trace(om.apply(rho.matrix)).real)
-        raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
-    return kraus
+    ctx, m = _analysis(instr, rho), instr.outcome_index(outcome)
+    sigmas, probs = _posteriors(ctx)
+    if not probs[m] > PROB_EPS:
+        raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {probs[m]:.3e}")
+    return _transpose_channels(ctx, [m], sigmas, probs)[0][0]
 
 
 def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
-    """Transpose-channel family covering every outcome.
-
-    Outcomes of probability ~0 get a pure re-preparation channel so the
-    composite corrected channel stays trace preserving.
-    """
-    spectrum = _input_spectrum(*_analysis(instr, rho).rho_eigh)
-    channels, flags = [], []
-    for om, kraus in zip(instr.outcomes, _transpose_channels(instr.outcomes, rho.matrix, spectrum)):
-        flags.append(kraus is None or len(kraus) > om.multiplicity)
-        channels.append(kraus or tuple(_reprepare_kraus(*spectrum[1:], np.eye(instr.d_out))))
+    """Transpose-channel family covering every outcome; an outcome of
+    probability ~0 re-prepares rho, so the composite stays trace preserving."""
+    ctx = _analysis(instr, rho)
+    channels, flags = _transpose_channels(ctx, range(instr.n_outcomes), *_posteriors(ctx))
     return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))
 
 
-def corrected_fidelity(
-    instr: Instrument, rho: LabeledState, family: RecoveryFamily
-) -> float:
+def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFamily) -> float:
     """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m, read
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
-    ctx = _analysis(instr, rho)
-    mapped, total = ctx.mapped, 0.0
-    for om, (start, k) in zip(instr.outcomes, ctx.blocks):
+    ctx, total, probs, shape = _analysis(instr, rho), 0.0, None, (instr.d_in, instr.d_out)
+    mapped = ctx.mapped
+    for m, (om, (start, k)) in enumerate(zip(instr.outcomes, ctx.blocks)):
         if om.label not in family.outcome_labels:
-            p = float(np.trace(om.apply(rho.matrix)).real)
-            if p > PROB_EPS:
-                raise MissingOutcome(
-                    f"recovery family misses outcome {om.label!r} with p = {p:.3e}"
-                )
+            probs = probs or _posteriors(ctx)[1]
+            if probs[m] > PROB_EPS:
+                raise MissingOutcome(f"recovery family misses outcome {om.label!r} "
+                                     f"with p = {probs[m]:.3e}")
             continue
-        shape = (instr.d_in, instr.d_out)
-        recovery = [np.asarray(r, dtype=complex) for r in family.channel(om.label)]
-        for r in recovery:
-            if r.shape != shape:
-                raise DimensionMismatch(f"recovery Kraus shape {r.shape} is not {shape}")
+        try:
+            recovery = np.asarray(family.channel(om.label), dtype=complex)
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"outcome {om.label!r}: non-numeric or ragged") from None
+        if recovery.shape[1:] != shape:
+            raise DimensionMismatch(f"recovery Kraus shape {recovery.shape[1:]} is not {shape}")
         # Tr(rho R E) = vec(R) . vec((E rho)^T), without conjugation
         e_rho_t = mapped[start : start + k].transpose(0, 2, 1).reshape(k, -1)
-        amps = np.reshape(recovery, (-1, e_rho_t.shape[1])) @ e_rho_t.T
-        total += float(np.sum(np.abs(amps) ** 2))
+        amps = recovery.reshape(-1, e_rho_t.shape[1]) @ e_rho_t.T
+        total += float((np.abs(amps) ** 2).sum())
     return total
 
 
@@ -142,13 +147,8 @@ class FanoCheck:
     holds: bool
 
 
-def fano_bound_check(
-    instr: Instrument,
-    rho: LabeledState,
-    family: RecoveryFamily,
-    *,
-    delta: float | None = None,
-) -> FanoCheck:
+def fano_bound_check(instr: Instrument, rho: LabeledState, family: RecoveryFamily, *,
+                     delta: float | None = None) -> FanoCheck:
     """Check delta <= f(1 - F_e) for f(x) = 2*[h2(x) + x*log2(d^2 - 1)].
 
     ``f`` is the standard entropy-exchange bound with d the input dimension;

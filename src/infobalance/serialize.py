@@ -226,7 +226,10 @@ def loads_recovery_family(text: str, validate_invariants: bool = True):
         labels.append(channel.outcomes[0].label)
         channels.append(channel.outcomes[0].kraus)
         flags.append(_expect(cnode.get("completion", False), bool, f"channels[{i}].completion"))
-    return RecoveryFamily(tuple(labels), tuple(channels), tuple(flags))
+    try:
+        return RecoveryFamily(tuple(labels), tuple(channels), tuple(flags))
+    except InfoBalanceError as exc:  # names the channel, as channels[i]
+        raise ParseError(str(exc)) from exc
 
 
 # -- POVMs --------------------------------------------------------------------

@@ -254,10 +254,10 @@ def _on_support(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
     """``f`` of the matrix (or stack) whose ascending ``eigh`` is ``(w, v)``,
     applied on the support; the kernel maps to zero."""
     low = w[..., :1].reshape(-1)
-    if np.any(low < -1e-8):
+    if (low < -1e-8).any():
         raise NegativeEigenvalue(f"min eigenvalue {low[low < -1e-8][0]:.3e} below -1e-8")
-    fw = np.zeros_like(w)
+    fw = np.zeros(w.shape)
     mask = w > SUPPORT_CUTOFF
-    if np.any(mask):
+    if mask.any():
         fw[mask] = f(w[mask])
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)

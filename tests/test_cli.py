@@ -223,6 +223,15 @@ class TestAnalyze:
 
 
 class TestSweep:
+    def test_parameter_column_is_printed_exactly(self, capsys):
+        # the text of each grid value, which a comparison of numbers within a
+        # tolerance would not see change
+        code, out, _ = run(capsys, "sweep", "--family", "filter", "--grid", "0.05,0.1", "--quiet")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["parameter", "iota", "delta", "noise", "iota_g", "residual_balance"]
+        assert [row[0] for row in rows[1:]] == ["0.050000000000000003", "0.10000000000000001"]
+
     def test_filter_sweep_file(self, capsys, tmp_path):
         out_csv = tmp_path / "filter.csv"
         code, _, _ = run(

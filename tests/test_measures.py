@@ -571,6 +571,41 @@ class TestCallBudget:
         assert spectra("21") == spectra("5")
 
 
+class TestRecoveryCallBudget:
+    """After a report, the Petz functions read the kept analysis: they make no
+    ``OutcomeMap.apply`` call, and one stacked ``eigh`` of the posteriors
+    whatever the number of outcomes."""
+
+    @pytest.fixture(params=[2, 4], ids=["n2", "n4"])
+    def pair(self, request, monkeypatch):
+        instr = ib.random_instrument(request.param, 4, 3, request.param, 2)
+        rho = random_state(np.random.default_rng(request.param), 4, rank=3)
+        ib.balance_report(instr, rho)
+
+        def refused(*args):
+            raise AssertionError("OutcomeMap.apply called")
+
+        monkeypatch.setattr(ib.OutcomeMap, "apply", refused)
+        calls = []
+
+        def counted(*args, _eigh=np.linalg.eigh, **kwargs):
+            calls.append(args[0].shape)
+            return _eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return instr, rho, calls
+
+    def test_petz_family_and_fano(self, pair):
+        instr, rho, calls = pair
+        ib.fano_bound_check(instr, rho, ib.petz_family(instr, rho))
+        assert len(calls) == 1
+
+    def test_petz_recovery(self, pair):
+        instr, rho, calls = pair
+        ib.petz_recovery(instr, rho, instr.outcome_labels[-1])
+        assert len(calls) == 1
+
+
 def _bits(x):
     """``x`` with every float and array as its bytes, for bit-for-bit equality."""
     if isinstance(x, np.ndarray):

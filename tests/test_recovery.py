@@ -364,3 +364,158 @@ class TestOnePassPerCall:
         delta = ib.disturbance(instr, rho) if given_delta else None
         ib.fano_bound_check(instr, rho, family, delta=delta)
         assert calls == [instr]
+
+
+class TestRecoveryFamilyInvariants:
+    """A family checks itself when built; each error names the channel."""
+
+    @staticmethod
+    def channel():
+        return (np.eye(2, dtype=complex),)
+
+    @pytest.mark.parametrize("labels, n_channels, n_flags, index", [
+        (("0", "1"), 1, 2, 1), (("0",), 2, 2, 1), (("0", "1"), 2, 1, 1), (("0", "1", "2"), 3, 0, 0),
+    ])
+    def test_lengths_agree(self, labels, n_channels, n_flags, index):
+        with pytest.raises(ib.DimensionMismatch, match=rf"^channels\[{index}\]: "):
+            ib.RecoveryFamily(labels, (self.channel(),) * n_channels, (False,) * n_flags)
+
+    def test_labels_are_distinct(self):
+        with pytest.raises(ib.DuplicateLabel, match=r"^channels\[2\]: outcome '0'"):
+            ib.RecoveryFamily(("0", "1", "0"), (self.channel(),) * 3, (False,) * 3)
+
+    def test_no_channel_is_empty(self):
+        with pytest.raises(ib.InvalidInstrument, match=r"^channels\[1\]: outcome '1'"):
+            ib.RecoveryFamily(("0", "1"), (self.channel(), ()), (False, False))
+
+
+class TestMalformedChannels:
+    @pytest.mark.parametrize("channel", [
+        ([[1.0, 0.0], [0.0]],),  # a ragged matrix
+        (np.eye(2), np.eye(2)[:1]),  # matrices of two shapes
+        (np.array([["1", "0"], ["0", "x"]]),),  # not numbers
+    ], ids=["ragged", "two-shapes", "strings"])
+    def test_named_as_a_dimension_mismatch(self, channel):
+        rho = qstate([0.5, 0.5])
+        family = ib.petz_family(ib.projective(), rho)
+        bad = ib.RecoveryFamily(family.outcome_labels, (family.channels[0], channel),
+                                family.completion_flags)
+        with pytest.raises(ib.DimensionMismatch, match="outcome '1'"):
+            ib.corrected_fidelity(ib.projective(), rho, bad)
+
+
+def on_support(w, v, f):
+    fw = np.zeros_like(w)
+    mask = w > ib.tensors.SUPPORT_CUTOFF
+    fw[mask] = f(w[mask])
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def outcome_wise_channels(instr, rho):
+    """The transpose channels built outcome by outcome, as before the stacked
+    construction: ``OutcomeMap.apply`` for each posterior, one product per
+    Kraus operator and one ``np.outer`` per re-preparation operator; None
+    where p_m ~ 0.  Also the re-preparation channel of such an outcome."""
+    w, v = np.linalg.eigh(rho.matrix)
+    keep = w > PROB_EPS
+    sqrt_rho, roots, vectors = on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
+
+    def reprepare(onto):
+        return [s * np.outer(u, k.conj()) for s, u in zip(roots, vectors.T) for k in onto.T]
+
+    sigmas = [om.apply(rho.matrix) for om in instr.outcomes]
+    live = [i for i, sigma in enumerate(sigmas) if float(np.trace(sigma).real) > PROB_EPS]
+    stack = np.stack([sigmas[i] for i in live])
+    w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
+    inv_sqrt = on_support(w, v, lambda x: x ** -0.5)
+    channels = [None] * instr.n_outcomes
+    for j, i in enumerate(live):
+        recovery = [sqrt_rho @ e.conj().T @ inv_sqrt[j] for e in instr.outcomes[i].kraus]
+        channels[i] = tuple(recovery + reprepare(v[j][:, w[j] <= ib.tensors.SUPPORT_CUTOFF]))
+    return channels, tuple(reprepare(np.eye(instr.d_out))), sigmas
+
+
+def outcome_wise_fidelity(instr, rho, family):
+    total = 0.0
+    for om in instr.outcomes:
+        if om.label not in family.outcome_labels:
+            continue
+        recovery = [np.asarray(r, dtype=complex) for r in family.channel(om.label)]
+        e_rho_t = np.array([e @ rho.matrix for e in om.kraus]).transpose(0, 2, 1)
+        e_rho_t = e_rho_t.reshape(om.multiplicity, -1)
+        amps = np.reshape(recovery, (-1, e_rho_t.shape[1])) @ e_rho_t.T
+        total += float(np.sum(np.abs(amps) ** 2))
+    return total
+
+
+@st.composite
+def recovery_pairs(draw):
+    """d_in and d_out up to 6 drawn apart, mixed multiplicities, states of any
+    rank; with ``dead`` outcomes the instrument acts on the state's support
+    and its complement apart, so those outcomes have probability zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_in, d_out = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(1, d_in))
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    dead = draw(st.lists(st.integers(1, 3), max_size=2)) if rank < d_in else []
+    u = haar_unitary(rng, d_in)
+    rho = u[:, :rank] @ np.diag(rng.dirichlet(np.ones(rank))) @ u[:, :rank].conj().T
+    parts = [(mults, u[:, :rank] if dead else u), (dead, u[:, rank:])]
+    outcomes = []
+    for ks, basis in parts:
+        if not ks:
+            continue
+        while d_out * sum(ks) < basis.shape[1]:
+            ks = ks + [1]
+        blocks = iter(np.split(ib.haar_isometry(rng, d_out * sum(ks), basis.shape[1]), sum(ks)))
+        outcomes += [tuple(next(blocks) @ basis.conj().T for _ in range(k)) for k in ks]
+    order = rng.permutation(len(outcomes))
+    instr = ib.Instrument(d_in, d_out, tuple(
+        ib.OutcomeMap(f"m{i}", outcomes[i]) for i in order))
+    return instr, qstate(rho)
+
+
+class TestOutcomeWiseOracle:
+    """The stacked Petz construction against the outcome-wise one, bit for bit."""
+
+    @given(recovery_pairs())
+    def test_kraus_operators_and_fidelity(self, pair):
+        instr, rho = pair
+        channels, spare, sigmas = outcome_wise_channels(instr, rho)
+        family = ib.petz_family(instr, rho)
+        for om, got, want, flag in zip(instr.outcomes, family.channels, channels,
+                                       family.completion_flags):
+            expected = spare if want is None else want
+            assert [k.tobytes() for k in got] == [k.tobytes() for k in expected], om.label
+            assert all(k.shape == (instr.d_in, instr.d_out) for k in got)
+            assert flag == (want is None or len(want) > om.multiplicity)
+            if want is None:
+                p = float(np.trace(sigmas[instr.outcome_index(om.label)]).real)
+                with pytest.raises(ib.ZeroProbabilityOutcome, match=f"probability {p:.3e}$"):
+                    ib.petz_recovery(instr, rho, om.label)
+            else:
+                one = ib.petz_recovery(instr, rho, om.label)
+                assert [k.tobytes() for k in one] == [k.tobytes() for k in want]
+        got = ib.corrected_fidelity(instr, rho, family)
+        assert got.hex() == outcome_wise_fidelity(instr, rho, family).hex()
+
+    def test_the_draws_reach_every_branch(self):
+        # zero-probability outcomes between live ones, and kernels on live ones
+        seen = set()
+
+        @given(recovery_pairs())
+        def record(pair):
+            instr, rho = pair
+            channels, _, _ = outcome_wise_channels(instr, rho)
+            if any(c is None for c in channels[:-1]):
+                seen.add("dead-before-another")
+            if any(c is not None and len(c) > om.multiplicity
+                   for c, om in zip(channels, instr.outcomes)):
+                seen.add("kernel")
+            if any(om.multiplicity != instr.outcomes[0].multiplicity for om in instr.outcomes):
+                seen.add("mixed")
+            if instr.d_in != instr.d_out:
+                seen.add("rectangular")
+
+        record()
+        assert seen == {"dead-before-another", "kernel", "mixed", "rectangular"}

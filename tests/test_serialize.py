@@ -180,6 +180,13 @@ def test_recovery_family_nan_entry_uses_loader_message(validate_invariants):
         assert np.isnan(family.channels[0][0][0, 0])
 
 
+def test_recovery_family_duplicate_label_is_a_parse_error():
+    doc = recovery_family_doc()
+    doc["channels"][1]["outcomes"][0]["label"] = doc["channels"][0]["outcomes"][0]["label"]
+    with pytest.raises(ib.ParseError, match=r"^channels\[1\]: outcome '0' has a channel"):
+        ib.loads_recovery_family(json.dumps(doc))
+
+
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_recovery_family_completion_must_be_bool(value):
     doc = recovery_family_doc()
