@@ -19,10 +19,11 @@ Kraus operator.
 The joint state on [R, Qp, App, X] is never built: every quantity is an
 average over outcomes of small per-outcome spectra, each evaluated by two
 routes that share no matrix (see ``_Group``), for a stack of pairs of one
-shape at once.  The last pair's analysis is kept, so the entry points here and
-in :mod:`infobalance.recovery` share its work.  Negative round-off is clipped
-to zero only for provably nonnegative quantities.  The reference module
-:mod:`infobalance.dilation` builds the joint state instead.
+shape at once.  The last pair's analysis, a group of one, is kept, so the
+entry points here and in :mod:`infobalance.recovery` share its work.
+Negative round-off is clipped to zero only for provably nonnegative
+quantities.  The reference module :mod:`infobalance.dilation` builds the
+joint state instead.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import (
     BadDistribution,
     InfoBalanceError,
+    InvalidState,
     NumericalInconsistency,
     ZeroProbabilityOutcome,
 )
@@ -44,11 +46,12 @@ from .objects import (
     PROB_EPS,
     Instrument,
     _check_input_state,
+    _outcome_sums,
     _purification,
     _validate_each,
     require_valid,
 )
-from .tensors import ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
+from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -209,17 +212,17 @@ class _Group:
     outcomes, and those by runs (:func:`_runs`), which slices select.
     """
 
-    def __init__(self, ctxs: list[_Analysis]) -> None:
-        self.mults = tuple(len(om.kraus) for om in ctxs[0].instr.outcomes)
+    def __init__(self, pairs: list[tuple[Instrument, LabeledState]]) -> None:
+        self.mults = tuple(len(om.kraus) for om in pairs[0][0].outcomes)
         self.starts = list(accumulate(self.mults, initial=0))
-        self.blocks = list(zip(self.starts, self.mults))
-        self.labels = [ctx.instr.outcome_labels for ctx in ctxs]
-        self.kraus = _stacked([ctx.instr.kraus_stack for ctx in ctxs])
-        self.elements = _stacked([ctx.instr.povm_elements for ctx in ctxs])
-        self.rho = _stacked([ctx.rho.matrix for ctx in ctxs])
-        states = {id(ctx.rho): ctx.rho for ctx in ctxs}
+        self.blocks = list(zip(self.starts, self.mults))  # (start, multiplicity) per outcome
+        self.labels = [instr.outcome_labels for instr, _ in pairs]
+        self.kraus = _stacked([instr.kraus_stack for instr, _ in pairs])
+        self.elements = _stacked([instr.povm_elements for instr, _ in pairs])
+        self.rho = _stacked([rho.matrix for _, rho in pairs])
+        states = {id(rho): rho for _, rho in pairs}
         self.states, slot = list(states.values()), {key: i for i, key in enumerate(states)}
-        self.slots = [slot[id(ctx.rho)] for ctx in ctxs]
+        self.slots = [slot[id(rho)] for _, rho in pairs]
 
     @_lazy
     def rho_eighs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -279,9 +282,8 @@ class _Group:
 
     @_lazy
     def posteriors(self) -> np.ndarray:
-        """E_m(rho), ``(B, n, d_out, d_out)``."""
-        products = self.mapped @ self.kraus.conj().swapaxes(2, 3)
-        return np.add.reduceat(products, [b for b, _ in self.blocks], axis=1)
+        """E_m(rho), ``(B, n, d_out, d_out)``, bit for bit ``OutcomeMap.apply``."""
+        return _outcome_sums(self.mapped @ self.kraus.conj().swapaxes(2, 3), self.mults)
 
     @_lazy
     def members(self) -> np.ndarray:
@@ -399,39 +401,22 @@ class _Group:
                              dict(zip(_RESIDUALS, gaps)), excluded)
 
 
-class _Analysis:
-    """One checked (instrument, state) pair; its numbers are rows of the
-    arrays of its :class:`_Group` (``at``), alone a group of one."""
-
-    def __init__(self, instr: Instrument, rho: LabeledState) -> None:
-        require_valid(instr)
-        _check_input_state(instr, rho)
-        self.instr = instr
-        self.rho = rho
-
-    @_lazy
-    def at(self) -> tuple[_Group, int]:
-        """The group holding this pair's arrays, and the pair's index in it."""
-        return _Group([self]), 0
-
-    @property
-    def rho_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.at[0].rho_eighs[self.at[0].slots[self.at[1]]]
-
-    @property
-    def blocks(self) -> list[tuple[int, int]]:  # (start, multiplicity) of each outcome
-        return self.at[0].blocks
-
-    @property
-    def mapped(self) -> np.ndarray:
-        return self.at[0].mapped[self.at[1]]
+def _check_pair(instr: Instrument, rho: LabeledState) -> None:
+    """The check of every pair the engine analyses: a valid instrument, and a
+    state of its input dimension and of unit trace."""
+    require_valid(instr)
+    _check_input_state(instr, rho)
+    tr = float(rho.matrix.trace().real)
+    if abs(tr - 1.0) > _TRACE_ATOL:
+        raise InvalidState(f"input state has trace {tr}, expected 1")
 
 
 @lru_cache(maxsize=1)
-def _analysis(instr: Instrument, rho: LabeledState) -> _Analysis:
-    """The analysis of the pair, kept until a call asks for another pair;
-    instruments and states compare by identity and cannot change."""
-    return _Analysis(instr, rho)
+def _analysis(instr: Instrument, rho: LabeledState) -> _Group:
+    """The checked pair as a group of one, kept until a call asks for another
+    pair; instruments and states compare by identity and cannot change."""
+    _check_pair(instr, rho)
+    return _Group([(instr, rho)])
 
 
 #: the measures whose two routes must agree, in the order they are checked
@@ -447,8 +432,7 @@ def _disagreement(i: int, a: float, b: float) -> NumericalInconsistency:
 
 def _route(instr: Instrument, rho: LabeledState, i: int) -> float:
     """Route a of measure ``i`` of the pair, once both routes agree."""
-    group, k = _analysis(instr, rho).at
-    a, b = group.tables[k][0][2 * i : 2 * i + 2]
+    a, b = _analysis(instr, rho).tables[0][0][2 * i : 2 * i + 2]
     if abs(a - b) > ROUTE_ATOL:
         raise _disagreement(i, a, b)
     return a
@@ -472,8 +456,7 @@ def disturbance(instr: Instrument, rho: LabeledState) -> float:
 def disturbance_no_outcomes(instr: Instrument, rho: LabeledState) -> float:
     """Disturbance of the outcome-averaged channel; >= disturbance by data
     processing, and a strictly looser figure whenever outcomes help."""
-    group, k = _analysis(instr, rho).at
-    return group.dno[k]
+    return _analysis(instr, rho).dno[0]
 
 
 def noise_delta(instr: Instrument, rho: LabeledState) -> float:
@@ -488,8 +471,7 @@ def groenewold_gain(instr: Instrument, rho: LabeledState) -> float:
     Unlike the information gain this depends on the particular state
     reduction maps and can be negative.
     """
-    group, k = _analysis(instr, rho).at
-    return group.tables[k][0][6]
+    return _analysis(instr, rho).tables[0][0][6]
 
 
 def single_outcome_quantities(
@@ -500,11 +482,10 @@ def single_outcome_quantities(
     iota_m and delta_m may be negative; noise_m is a mutual information and
     is not.  They satisfy iota_m + noise_m = delta_m.
     """
-    group, k = _analysis(instr, rho).at
-    idx = instr.outcome_index(outcome)
-    if (p := float(group.probs[k, idx])) <= PROB_EPS:
+    group, idx = _analysis(instr, rho), instr.outcome_index(outcome)
+    if (p := float(group.probs[0, idx])) <= PROB_EPS:
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
-    return group.outcome(k, idx)
+    return group.outcome(0, idx)
 
 
 @dataclass(frozen=True)
@@ -551,14 +532,9 @@ def balance_report(instr: Instrument, rho: LabeledState) -> BalanceReport:
     Raises :class:`NumericalInconsistency` if any pair of independent routes
     disagrees beyond 1e-9 or the balance identity residual exceeds 1e-9.
     Outcomes with probability at or below 1e-12 are excluded from the table;
-    their total weight is reported, never silently renormalized.  The pair
-    is a group of one of :func:`balance_reports`.
+    their total weight is reported, never silently renormalized.
     """
-    return _report(_analysis(instr, rho))
-
-
-def _report(ctx: _Analysis) -> BalanceReport:
-    return ctx.at[0].report(ctx.at[1])
+    return _analysis(instr, rho).report(0)
 
 
 #: bytes (as :func:`_pair_bytes` estimates them) of one balance_reports block
@@ -578,8 +554,9 @@ def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[Ba
     Pairs are taken in blocks of about ``_BLOCK_BYTES``: a block's instruments
     are validated as stacks, its pairs of one signature (d_in, d_out,
     multiplicities) analysed as one :class:`_Group`, and its analyses dropped
-    once its reports are built.  Errors come in the order of the pairs: one
-    raised by the checks of pair ``k`` carries the note ``pair k of the batch``.
+    once its reports are built; the pair the engine keeps is left as it is.
+    Errors come in the order of the pairs: one raised by the checks of pair
+    ``k`` carries the note ``pair k of the batch``.
     """
     source, reports, done = iter(pairs), [], False
     while not done:
@@ -603,21 +580,18 @@ def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[Ba
 def _block_reports(pairs: list, offset: int) -> list[BalanceReport]:
     """The reports of a block whose first pair is pair ``offset`` of the batch."""
     _validate_each([instr for instr, _ in pairs])
-    ctxs = [_noted(offset + k, _analysis, *pair) for k, pair in enumerate(pairs)]
-    groups: dict[tuple, list[_Analysis]] = {}
-    for ctx in dict.fromkeys(ctxs):
-        key = (ctx.instr.d_in, ctx.instr.d_out, *(om.multiplicity for om in ctx.instr.outcomes))
-        groups.setdefault(key, []).append(ctx)
-    for members in groups.values():
-        group = _Group(members)
-        for k, ctx in enumerate(members):
-            ctx.__dict__["at"] = (group, k)
+    groups: dict[tuple, list[int]] = {}
+    for k, (instr, rho) in enumerate(pairs):
+        _noted(offset + k, _check_pair, instr, rho)
+        key = (instr.d_in, instr.d_out, *(om.multiplicity for om in instr.outcomes))
+        groups.setdefault(key, []).append(k)
+    rows: list = [None] * len(pairs)  # the report method of each pair's group, and its index
+    for idx in groups.values():
+        group = _Group([pairs[k] for k in idx])
         group.tables  # every spectrum of the group; a kernel's error names no pair
-    try:
-        return [_noted(offset + k, _report, ctx) for k, ctx in enumerate(ctxs)]
-    finally:
-        if ctxs:  # the pair the memo keeps is again a group of one, at one pair's cost
-            ctxs[-1].__dict__.pop("at", None)
+        for j, k in enumerate(idx):
+            rows[k] = (group.report, j)
+    return [_noted(offset + k, *row) for k, row in enumerate(rows)]
 
 
 def _noted(k: int, fn, *args):

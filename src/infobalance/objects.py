@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -120,8 +121,8 @@ class Instrument:
     @cached_property
     def povm_elements(self) -> np.ndarray:
         """Read-only ``(n, d_in, d_in)`` stack of the POVM elements sum_k E_k† E_k."""
-        mults = [o.multiplicity for o in self.outcomes]
-        return _read_only(_povm_sums(self.kraus_stack[None], mults))[0]
+        kraus, mults = self.kraus_stack, [o.multiplicity for o in self.outcomes]
+        return _read_only(_outcome_sums((kraus.conj().swapaxes(1, 2) @ kraus)[None], mults))[0]
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,8 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
 
     The instruments whose Kraus operators all have the expected shape are
     checked as one stack per signature (d_in, d_out, multiplicities): one
-    ``isfinite`` over the Kraus operators, one product for every E†E (see
-    :func:`_povm_sums`) and one stacked ``eigh`` of the POVM elements; each
+    ``isfinite`` over the Kraus operators, one product for every E†E (summed
+    by :func:`_outcome_sums`) and one stacked ``eigh`` of the POVM elements; each
     report is bit for bit that of the instrument alone.  Finite instruments
     of the right shapes keep the Kraus stack and POVM elements so computed.
     """
@@ -187,7 +188,7 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
         if not idx:
             continue
         stack = _read_only(stack if all(ok) else stack[ok])
-        elements = _read_only(_povm_sums(stack, mults))
+        elements = _read_only(_outcome_sums(stack.conj().swapaxes(2, 3) @ stack, mults))
         # summed in outcome order: as adding to zero, up to the sign of zeros
         total = elements.cumsum(axis=1)[:, -1]
         tp_deviation = np.abs(total - np.eye(d_in)).max(axis=(1, 2)).tolist()
@@ -242,18 +243,23 @@ def _numeric_report(instr: Instrument, tp_deviation: float, excess: list) -> Val
     return ValidationReport(not issues, tp_deviation, True, outcome_excess, tuple(issues))
 
 
-def _povm_sums(kraus: np.ndarray, mults) -> np.ndarray:
-    """POVM elements ``(B, n, d_in, d_in)`` of Kraus stacks ``(B, K, d_out,
-    d_in)`` whose outcomes have multiplicities ``mults``: one product for
-    every E†E, added to zero in Kraus order as :meth:`OutcomeMap.povm_element`
-    adds them."""
-    products = kraus.conj().swapaxes(2, 3) @ kraus
-    starts = [sum(mults[:m]) for m in range(len(mults))]
-    out = products[:, starts] + 0.0
-    for j in range(1, max(mults)):
-        has = [m for m, k in enumerate(mults) if k > j]
-        out[:, has] += products[:, [starts[m] + j for m in has]]
-    return out
+def _outcome_sums(products: np.ndarray, mults) -> np.ndarray:
+    """Per outcome the sum ``(B, n, ...)`` of the products ``(B, K, ...)`` of
+    its Kraus operators, for outcomes of multiplicities ``mults``: added to
+    zero in Kraus order, as :meth:`OutcomeMap.apply` and
+    :meth:`OutcomeMap.povm_element` add them, one pass per Kraus index over
+    each run of outcomes of one multiplicity."""
+    B, rest = len(products), products.shape[2:]
+    sums, start = [], 0
+    for k, run in groupby(mults):
+        n = len(list(run))
+        x = products[:, start : start + n * k].reshape(B, n, k, *rest)
+        total = x[:, :, 0] + 0.0  # bit for bit 0.0 + x
+        for j in range(1, k):
+            total += x[:, :, j]
+        sums.append(total)
+        start += n * k
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 
 def require_valid(instr: Instrument) -> None:

@@ -4,10 +4,11 @@ For every outcome the transpose (Petz) channel
 ``sigma -> rho^{1/2} E† (E_m(rho))^{-1/2} sigma (E_m(rho))^{-1/2} E rho^{1/2}``
 is built, completed to trace preservation by sending the kernel of E_m(rho)
 to rho.  A family is built from the pair's analysis in
-:mod:`infobalance.measures` (its eigh of rho and products E_k rho) as stacks
-over the outcomes.  The corrected channel sum_m R_m ∘ E_m has entanglement
-fidelity F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², one product per
-outcome; :func:`infobalance.dilation.entanglement_fidelity` is its reference.
+:mod:`infobalance.measures` (its eigh of rho, products E_k rho and
+posteriors E_m(rho)) as stacks over the outcomes.  The corrected channel
+sum_m R_m ∘ E_m has entanglement fidelity
+F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², one product per outcome;
+:func:`infobalance.dilation.entanglement_fidelity` is its reference.
 Disturbance <= eps guarantees F >= 1 - 4*sqrt(eps) for this family (the
 optimal family achieves 1 - 2*sqrt(eps)), and a Fano-type converse bounds
 the disturbance by a function of 1 - F.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DuplicateLabel, InvalidInstrument, MissingOutcome,
                      ZeroProbabilityOutcome)
-from .measures import _analysis, _runs, binary_entropy, disturbance
+from .measures import _analysis, binary_entropy, disturbance
 from .objects import PROB_EPS, Instrument
 from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support, _on_support_eigh
 
@@ -52,36 +53,30 @@ class RecoveryFamily:
         return self.channels[self.outcome_labels.index(label)]
 
 
-def _posteriors(ctx) -> tuple[np.ndarray, list[float]]:
-    """E_m(rho) ``(n, d_out, d_out)`` of the pair's outcomes, each summed from
-    zeros in Kraus order as by ``OutcomeMap.apply``, and their traces p_m."""
-    products = ctx.mapped @ ctx.instr.kraus_stack.conj().swapaxes(1, 2)
-    blocks, shape = ctx.blocks, products.shape[1:]
-    sigmas = np.zeros((len(blocks), *shape), dtype=complex)
-    for a, b, k in _runs([k for _, k in blocks], [True] * len(blocks)):
-        run = products[blocks[a][0] : blocks[b - 1][0] + k].reshape(b - a, k, *shape)
-        for j in range(k):  # the j-th Kraus operator of each outcome of the run
-            sigmas[a:b] += run[:, j]
+def _posteriors(group) -> tuple[np.ndarray, list[float]]:
+    """E_m(rho) ``(n, d_out, d_out)`` of the pair's outcomes, and their traces p_m."""
+    sigmas = group.posteriors[0]
     return sigmas, sigmas.trace(axis1=1, axis2=2).real.tolist()
 
 
-def _transpose_channels(ctx, pick, sigmas, probs) -> tuple[list[tuple], list[bool]]:
+def _transpose_channels(group, pick, sigmas, probs) -> tuple[list[tuple], list[bool]]:
     """The Kraus list of each outcome of ``pick`` and whether it is completed:
     its transpose channel, completed by re-preparing rho on the kernel of
     E_m(rho), or only that re-preparation on the whole output where p_m ~ 0."""
-    (w, v), blocks, d_out = ctx.rho_eigh, ctx.blocks, ctx.instr.d_out
+    (w, v), blocks, kraus = group.rho_eighs[0], group.blocks, group.kraus[0]
     keep = w > PROB_EPS  # rho is re-prepared from the eigenvalues above PROB_EPS
     sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
     ks = [blocks[m][1] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
     live = [m for m, k in zip(pick, ks) if k]  # never empty: the p_m sum to 1
     inv_sqrt, w, v = _on_support_eigh(sigmas[live], lambda x: x ** -0.5)
     rows = [blocks[m][0] + i for m in live for i in range(blocks[m][1])]
-    recovery = list(sqrt_rho @ ctx.instr.kraus_stack[rows].conj().swapaxes(1, 2)
+    recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2)
                     @ inv_sqrt.repeat([k for k in ks if k], axis=0))
     onto, kernel = v.conj().swapaxes(1, 2), w <= SUPPORT_CUTOFF  # rows k_j† of the bases
     if len(live) < len(pick):
         at = [i - j for j, i in enumerate(i for i, k in enumerate(ks) if not k)]
-        onto, kernel = np.insert(onto, at, np.eye(d_out), 0), np.insert(kernel, at, True, 0)
+        onto = np.insert(onto, at, np.eye(sigmas.shape[1]), 0)
+        kernel = np.insert(kernel, at, True, 0)
     onto = onto[kernel]
     reprepare = vectors.T[:, None, :, None] * onto[None, :, None, :]  # sqrt(w_i) v_i k_j† of
     np.multiply(roots[:, None, None, None], reprepare, out=reprepare)  # root i and basis row j
@@ -91,35 +86,35 @@ def _transpose_channels(ctx, pick, sigmas, probs) -> tuple[list[tuple], list[boo
         channels.append((*recovery[first : first + k],
                          *[x for row in reprepare for x in row[col : col + q]]))
         first, col = first + k, col + q
-    return channels, [len(kraus) > k for kraus, k in zip(channels, ks)]
+    return channels, [len(channel) > k for channel, k in zip(channels, ks)]
 
 
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
     """Transpose-channel recovery for one outcome, completed to trace
     preservation by re-preparing ``rho`` on the kernel of E_m(rho)."""
-    ctx, m = _analysis(instr, rho), instr.outcome_index(outcome)
-    sigmas, probs = _posteriors(ctx)
+    group, m = _analysis(instr, rho), instr.outcome_index(outcome)
+    sigmas, probs = _posteriors(group)
     if not probs[m] > PROB_EPS:
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {probs[m]:.3e}")
-    return _transpose_channels(ctx, [m], sigmas, probs)[0][0]
+    return _transpose_channels(group, [m], sigmas, probs)[0][0]
 
 
 def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     """Transpose-channel family covering every outcome; an outcome of
     probability ~0 re-prepares rho, so the composite stays trace preserving."""
-    ctx = _analysis(instr, rho)
-    channels, flags = _transpose_channels(ctx, range(instr.n_outcomes), *_posteriors(ctx))
+    group = _analysis(instr, rho)
+    channels, flags = _transpose_channels(group, range(instr.n_outcomes), *_posteriors(group))
     return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))
 
 
 def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFamily) -> float:
     """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m, read
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
-    ctx, total, probs, shape = _analysis(instr, rho), 0.0, None, (instr.d_in, instr.d_out)
-    mapped = ctx.mapped
-    for m, (om, (start, k)) in enumerate(zip(instr.outcomes, ctx.blocks)):
+    group, total, probs, shape = _analysis(instr, rho), 0.0, None, (instr.d_in, instr.d_out)
+    mapped = group.mapped[0]
+    for m, (om, (start, k)) in enumerate(zip(instr.outcomes, group.blocks)):
         if om.label not in family.outcome_labels:
-            probs = probs or _posteriors(ctx)[1]
+            probs = probs or _posteriors(group)[1]
             if probs[m] > PROB_EPS:
                 raise MissingOutcome(f"recovery family misses outcome {om.label!r} "
                                      f"with p = {probs[m]:.3e}")
@@ -130,6 +125,9 @@ def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFam
             raise DimensionMismatch(f"outcome {om.label!r}: non-numeric or ragged") from None
         if recovery.shape[1:] != shape:
             raise DimensionMismatch(f"recovery Kraus shape {recovery.shape[1:]} is not {shape}")
+        if not (finite := np.isfinite(recovery)).all():
+            raise InvalidInstrument(f"non-finite entries: outcome {om.label!r} "
+                                    f"Kraus {np.argmin(finite.all(axis=(1, 2)))}")
         # Tr(rho R E) = vec(R) . vec((E rho)^T), without conjugation
         e_rho_t = mapped[start : start + k].transpose(0, 2, 1).reshape(k, -1)
         amps = recovery.reshape(-1, e_rho_t.shape[1]) @ e_rho_t.T

@@ -688,6 +688,50 @@ class TestPairMemo:
         assert wrong == []
 
 
+class TestInputTrace:
+    """The pair check of every engine entry point refuses a state whose trace
+    is not 1 within the LabeledState tolerance, before any work on the pair."""
+
+    @pytest.fixture(params=[0.5, 1.2])
+    def rho(self, request):
+        if request.param < 1.0:
+            return ib.LabeledState([ib.Subsystem("Q", 2)], np.diag([0.3, 0.2]),
+                                   subnormalized=True)
+        return ib.LabeledState([ib.Subsystem("Q", 2)], np.diag([0.7, 0.5]), validate=False)
+
+    @staticmethod
+    def refused(rho):
+        message = rf"(?m)^input state has trace {np.trace(rho.matrix).real}, expected 1$"
+        return pytest.raises(ib.InvalidState, match=message)
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_entry_points(self, rho, name):
+        with self.refused(rho):
+            ENTRY_POINTS[name](ib.projective(), rho)
+
+    @pytest.mark.parametrize("check", [ib.corrected_fidelity, ib.fano_bound_check])
+    def test_family_of_a_normalized_state(self, rho, check):
+        instr = ib.projective()
+        family = ib.petz_family(instr, qstate([0.5, 0.5]))
+        with self.refused(rho):
+            check(instr, rho, family)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_batch_names_the_pair(self, rho, k):
+        pairs = [(ib.projective(), qstate([0.5, 0.5])) for _ in range(3)]
+        pairs[k] = (pairs[k][0], rho)
+        with self.refused(rho) as info:
+            ib.balance_reports(pairs)
+        assert info.value.__notes__ == [f"pair {k} of the batch"]
+
+    def test_outcome_functions_still_take_the_state(self, rho):
+        instr = ib.projective()
+        p = ib.outcome_probability(instr, "0", rho)
+        assert p == pytest.approx(rho.matrix[0, 0].real)
+        posterior = ib.posterior_state(instr, "0", rho)
+        assert posterior.trace == pytest.approx(1.0)
+
+
 def sliced_instrument(rng, d_in, d_out, mults):
     """One Haar isometry cut into outcomes of multiplicities ``mults``."""
     blocks = iter(np.split(ib.haar_isometry(rng, d_out * sum(mults), d_in), sum(mults)))
@@ -903,6 +947,17 @@ class TestBlocks:
         assert sorted(shapes) == [(1, 2, 2), (1, 4, 4)]
         measures._analysis.cache_clear()
         assert dno == ib.disturbance_no_outcomes(*pairs[-1])
+
+    def test_batch_leaves_the_kept_pair(self):
+        rho = random_state(np.random.default_rng(43), 2)
+        pairs = [(ib.random_instrument(k, 2, 2, 2, 2), rho) for k in range(4)]
+        measures._analysis.cache_clear()
+        ib.balance_report(*pairs[1])
+        ib.balance_reports(pairs)
+        hits = measures._analysis.cache_info().hits
+        ib.balance_report(*pairs[1])
+        info = measures._analysis.cache_info()
+        assert info.hits == hits + 1 and info.currsize == 1
 
     @pytest.mark.parametrize("bad, raising, named", [(5, 7, 5), (1, 6, 1), (6, 4, None)])
     def test_errors_keep_the_order_of_the_pairs(self, small_blocks, bad, raising, named):

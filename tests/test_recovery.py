@@ -403,6 +403,21 @@ class TestMalformedChannels:
         with pytest.raises(ib.DimensionMismatch, match="outcome '1'"):
             ib.corrected_fidelity(ib.projective(), rho, bad)
 
+    @pytest.mark.parametrize("channel, index", [
+        (([[1.0, None], [0.0, 1.0]],), 0),  # numpy reads None as NaN
+        ((np.array([[np.nan, 0.0], [0.0, 1.0]]),), 0),
+        ((np.eye(2), np.array([[1.0, 0.0], [0.0, np.inf]])), 1),
+    ], ids=["none", "nan", "inf"])
+    @pytest.mark.parametrize("check", [ib.corrected_fidelity, ib.fano_bound_check])
+    def test_non_finite_entries_are_named(self, channel, index, check):
+        instr, rho = ib.projective(), qstate([0.5, 0.5])
+        family = ib.petz_family(instr, rho)
+        bad = ib.RecoveryFamily(family.outcome_labels, (family.channels[0], channel),
+                                family.completion_flags)
+        with pytest.raises(ib.InvalidInstrument,
+                           match=rf"^non-finite entries: outcome '1' Kraus {index}$"):
+            check(instr, rho, bad)
+
 
 def on_support(w, v, f):
     fw = np.zeros_like(w)
@@ -519,3 +534,18 @@ class TestOutcomeWiseOracle:
 
         record()
         assert seen == {"dead-before-another", "kernel", "mixed", "rectangular"}
+
+
+class TestKeptPosteriors:
+    """The posteriors the engine keeps for a pair are ``OutcomeMap.apply``
+    of each outcome, bit for bit: the state route and the Petz family read
+    one sum, added from zero in Kraus order."""
+
+    @given(recovery_pairs())
+    def test_equal_outcome_map_apply(self, pair):
+        instr, rho = pair
+        ib.measures._analysis.cache_clear()
+        kept = ib.measures._analysis(instr, rho).posteriors[0]
+        expected = np.array([om.apply(rho.matrix) for om in instr.outcomes])
+        assert kept.shape == expected.shape
+        assert kept.tobytes() == expected.tobytes()
