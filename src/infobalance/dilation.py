@@ -33,7 +33,6 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .measures import _clip_nonneg
 from .objects import (
     PROB_EPS,
     Instrument,
@@ -203,6 +202,12 @@ def theta_state(instr: Instrument, rho: LabeledState) -> LabeledState:
         register_blocks[:, idx, :, idx] = om.apply(rho.matrix)
     labels = (Subsystem(OUTPUT, d_out), Subsystem(REGISTER, n))
     return LabeledState(labels, theta, validate=False)
+
+
+def _clip_nonneg(x: float, tol: float = 1e-9) -> float:
+    """Zero out round-off negatives of a nonnegative quantity; values below
+    -tol pass through, so genuine violations stay visible."""
+    return 0.0 if -tol <= x < 0.0 else x
 
 
 def _disjoint(*groups: Sequence[str]) -> None:

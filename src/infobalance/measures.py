@@ -19,8 +19,9 @@ Kraus operator.
 The joint state on [R, Qp, App, X] is never built: every quantity is an
 average over outcomes of small per-outcome spectra, each evaluated by two
 routes that share no matrix (see ``_Group``), for a stack of pairs of one
-shape at once.  The last pair's analysis, a group of one, is kept, so the
-entry points here and in :mod:`infobalance.recovery` share its work.
+shape at once; the purifying reference spans the support of the state.
+The last pair's analysis, a group of one, is kept, so the entry points here
+and in :mod:`infobalance.recovery` share its work.
 Negative round-off is clipped to zero only for provably nonnegative
 quantities.  The reference module :mod:`infobalance.dilation` builds the
 joint state instead.
@@ -47,11 +48,10 @@ from .objects import (
     Instrument,
     _check_input_state,
     _outcome_sums,
-    _purification,
     _validate_each,
     require_valid,
 )
-from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState, _descending, _hermitian
+from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState, _hermitian
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -127,6 +127,12 @@ def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
     return _padded(parts)
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(a, compute_uv=False)`` of a stack, read from its tall
+    orientation, which LAPACK decomposes faster than the wide one."""
+    return np.linalg.svd(a.swapaxes(-1, -2) if a.shape[-1] > a.shape[-2] else a, compute_uv=False)
+
+
 def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
     """Entropy in bits of the row marginal of each pure state amplitudes/sqrt(p).
 
@@ -134,7 +140,7 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
     stacked SVD per matrix shape; ``probs`` holds the norms² p of all their
     matrices in order.  This is the purification side's kernel.
     """
-    s = _spectra(splits, lambda a: np.linalg.svd(a, compute_uv=False))
+    s = _spectra(splits, _singular_values)
     x = s * s / probs[:, None]
     if (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
         raise BadDistribution("probabilities must be nonnegative and sum to 1")
@@ -193,12 +199,20 @@ def _runs(mults: tuple[int, ...], live) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _support(w: np.ndarray) -> int:
+    """How many of the ascending eigenvalues ``w`` of a state exceed numpy's
+    ``matrix_rank`` bound d·eps·w_max: the rows of its purification."""
+    return int((w > len(w) * np.finfo(float).eps * w[-1]).sum())
+
+
 class _Group:
     """Per-outcome spectra of B (state, instrument) pairs of one signature
-    (d_in, d_out, multiplicities), by two routes.
+    (d_in, d_out, r, multiplicities), by two routes.
 
-    Given outcome m the dilated state on [R, Qp, App] is pure, with
-    amplitudes T_m[k, r, q] = (psi E_{m,k}^T)[r, q], and X is classical, so
+    The purification sum_i sqrt(w_i) |i>_R |v_i>_Q runs over the r
+    eigenvalues above :func:`_support`'s bound, so R spans the support of
+    rho.  Given outcome m the dilated state on [R, Qp, App] is pure, with
+    amplitudes T_m[k, i, q] = (psi E_{m,k}^T)[i, q], and X is classical, so
     every quantity is a p_m-average of S(R|m), S(Qp|m) and S(App|m).  The
     purification side reads them from the singular values of T_m split three
     ways; the state side from the reference ensemble member psi P_m^T psi†,
@@ -210,39 +224,42 @@ class _Group:
     bit as in a group of one.  Outcomes of probability at or below PROB_EPS
     enter no spectrum and no sum: pairs are taken by their set of kept
     outcomes, and those by runs (:func:`_runs`), which slices select.
+    ``eighs``, if given, holds each pair's ``rho_eighs`` entry.
     """
 
-    def __init__(self, pairs: list[tuple[Instrument, LabeledState]]) -> None:
+    def __init__(self, pairs: list[tuple[Instrument, LabeledState]], eighs=None) -> None:
         self.mults = tuple(len(om.kraus) for om in pairs[0][0].outcomes)
         self.starts = list(accumulate(self.mults, initial=0))
         self.blocks = list(zip(self.starts, self.mults))  # (start, multiplicity) per outcome
         self.labels = [instr.outcome_labels for instr, _ in pairs]
         self.kraus = _stacked([instr.kraus_stack for instr, _ in pairs])
         self.elements = _stacked([instr.povm_elements for instr, _ in pairs])
-        self.rho = _stacked([rho.matrix for _, rho in pairs])
-        states = {id(rho): rho for _, rho in pairs}
-        self.states, slot = list(states.values()), {key: i for i, key in enumerate(states)}
-        self.slots = [slot[id(rho)] for _, rho in pairs]
+        self.states = [rho for _, rho in pairs]
+        self.rho = _stacked([rho.matrix for rho in self.states])
+        if eighs is not None:
+            self.rho_eighs = eighs
 
     @_lazy
     def rho_eighs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The ascending ``eigh`` of each state object (stored exactly Hermitian)."""
+        """The ascending ``eigh`` of each pair's state (stored exactly Hermitian)."""
         return [np.linalg.eigh(rho.matrix) for rho in self.states]
 
     @_lazy
     def psi(self) -> np.ndarray:
-        """Coefficient matrices ``(B, d, d)`` of the purification of rho, as :func:`purify`."""
-        psi = _stacked([_purification(rho, *_descending(*eigh)).psi_matrix
-                        for rho, eigh in zip(self.states, self.rho_eighs)])
-        return psi if len(psi) == len(self.slots) else psi[self.slots]
+        """Coefficient matrices ``(B, r, d_in)`` of the purifications, rows
+        sqrt(w_i) v_i^T for the r largest eigenvalues in ascending order, each
+        C-contiguous as in a batch."""
+        r, eighs = _support(self.rho_eighs[0][0]), self.rho_eighs
+        rows = {id(e): np.sqrt(e[0][-r:])[:, None] * e[1][:, -r:].T for e in eighs}
+        return np.array([rows[id(e)] for e in eighs])
 
     @_lazy
     def amplitudes(self) -> np.ndarray:
-        """T_m of every Kraus operator, ``(B, K, d_r, d_out)``."""
+        """T_m of every Kraus operator, ``(B, K, r, d_out)``."""
         return self.psi[:, None] @ self.kraus.transpose(0, 1, 3, 2)
 
     def _input_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """T split as R against everything else ``(B, d_r, K·d_out)``, and its norm²."""
+        """T split as R against everything else ``(B, r, K·d_out)``, and its norm²."""
         t = self.amplitudes
         flat = t.reshape(len(t), -1)
         return t.transpose(0, 2, 1, 3).reshape(*t.shape[::2], -1), _vecdot(flat, flat).real
@@ -287,7 +304,7 @@ class _Group:
 
     @_lazy
     def members(self) -> np.ndarray:
-        """psi P_m^T psi†, ``(B, n, d_r, d_r)``, unnormalized."""
+        """psi P_m^T psi†, ``(B, n, r, r)``, unnormalized."""
         psi = self.psi[:, None]
         return psi @ self.elements.swapaxes(2, 3) @ psi.conj().swapaxes(2, 3)
 
@@ -307,10 +324,11 @@ class _Group:
             pick = slice(None) if len(pairs) == B else np.array(pairs)
             arrays = (t, self.probs, self.members, self.posteriors, self.exchange, cells)
             t_c, p_c, members, posteriors, exchange, cells_c = (x[pick] for x in arrays)
-            # the members summed in the order of their multiplicities' first appearance
+            # the members added one at a time, in the order of their multiplicities'
+            # first appearance: a sum over an axis rounds a batch slice otherwise
             order = [m for k in dict.fromkeys(mults) for m in range(n) if live[m] and mults[m] == k]
             summed.append(pairs)
-            totals.append(members[:, order].sum(axis=1))
+            totals.append(sum(members[:, m] for m in order))
             for a, b, k in _runs(mults, live):
                 q = p_c[:, a:b].reshape(-1, 1, 1)
                 x = t_c[:, starts[a] : starts[b]].reshape(-1, k, d_r, d_out)
@@ -581,13 +599,17 @@ def _block_reports(pairs: list, offset: int) -> list[BalanceReport]:
     """The reports of a block whose first pair is pair ``offset`` of the batch."""
     _validate_each([instr for instr, _ in pairs])
     groups: dict[tuple, list[int]] = {}
+    eighs, sizes = {}, {}  # per state object its ascending eigh and support size
     for k, (instr, rho) in enumerate(pairs):
         _noted(offset + k, _check_pair, instr, rho)
-        key = (instr.d_in, instr.d_out, *(om.multiplicity for om in instr.outcomes))
+        if id(rho) not in eighs:
+            eighs[id(rho)] = eigh = np.linalg.eigh(rho.matrix)
+            sizes[id(rho)] = _support(eigh[0])
+        key = (instr.d_in, instr.d_out, sizes[id(rho)], *(om.multiplicity for om in instr.outcomes))
         groups.setdefault(key, []).append(k)
     rows: list = [None] * len(pairs)  # the report method of each pair's group, and its index
     for idx in groups.values():
-        group = _Group([pairs[k] for k in idx])
+        group = _Group([pairs[k] for k in idx], [eighs[id(pairs[k][1])] for k in idx])
         group.tables  # every spectrum of the group; a kernel's error names no pair
         for j, k in enumerate(idx):
             rows[k] = (group.report, j)

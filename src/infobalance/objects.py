@@ -426,7 +426,10 @@ class PurifiedInput:
 
     The reference dimension equals dim(Q) (zero-padded for rank-deficient
     states) so shapes are fixed; all derived information quantities are
-    invariant under this choice.
+    invariant under this choice.  :mod:`infobalance.dilation` and the
+    encodings and Holevo checks of :mod:`infobalance.encodings` keep this
+    r_dim = d; the engine in :mod:`infobalance.measures` builds its own
+    purification, whose reference spans only the support of rho.
     """
 
     rho: LabeledState

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -176,3 +179,35 @@ class TestReduced:
         bundle = ib.dilate(ib.filter_family(1.0), ib.purify(qstate([0.0, 1.0])))
         with pytest.raises(ib.ZeroProbabilityOutcome):
             ib.reduced(bundle, ["R"], "1")
+
+
+def private_engine_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every private name of ``measures`` that ``source``
+    imports or reads as an attribute of a name bound to ``measures``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "measures":
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "measures" and node.attr.startswith("_")):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+class TestReferenceIndependence:
+    """The reference module checks the engine, so it shares none of the
+    engine's private helpers."""
+
+    def test_dilation_imports_no_private_name_of_measures(self):
+        source = Path(ib.dilation.__file__).read_text(encoding="utf-8")
+        assert private_engine_names(source) == []
+
+    @pytest.mark.parametrize("line", [
+        "from .measures import _clip_nonneg",
+        "from infobalance.measures import ROUTE_ATOL, _entropy_rows",
+        "from . import measures\nx = measures._clip_nonneg(0.0)",
+    ])
+    def test_the_walk_sees_a_private_import(self, line):
+        assert private_engine_names(line) != []
+        assert private_engine_names(line.replace("_clip_nonneg", "ROUTE_ATOL")
+                                    .replace(", _entropy_rows", "")) == []

@@ -980,6 +980,129 @@ class TestBlocks:
             assert info.value.__notes__ == [f"pair {named} of the batch"]
 
 
+def support_state(rng, d, rank, floor):
+    """A state of rank ``rank`` in a Haar basis whose other eigenvalues are
+    ``floor``; with floor 0 its kernel is exact: a padded state in a permuted
+    basis."""
+    if floor == 0.0:
+        pick = rng.permutation(d)
+        return labeled([("Q", d)], np.pad(random_density(rng, rank), (0, d - rank))[pick][:, pick])
+    w = rng.random(d) + 0.1
+    w[rank:] = floor
+    w[:rank] *= (1.0 - floor * (d - rank)) / w[:rank].sum()
+    u = ib.haar_isometry(rng, d, d)
+    return labeled([("Q", d)], (u * w) @ u.conj().T)
+
+
+def support_size(rho):
+    """The count of eigenvalues above numpy's matrix_rank bound d·eps·w_max,
+    from the ``eigh`` the engine reads (``eigvalsh`` may round otherwise)."""
+    w = np.linalg.eigh(rho.matrix)[0]
+    return int((w > rho.dim * np.finfo(float).eps * w.max()).sum())
+
+
+#: eigenvalue floors of rank-deficient states: 0 is an exact kernel, and the
+#: others lie below, near and above the support bound d·eps·w_max
+FLOORS = [0.0, 1e-17, 1e-15, 1e-13, 1e-11]
+
+
+class TestSupport:
+    """The purification runs over the support of rho: r rows, r the count of
+    eigenvalues above numpy's matrix_rank bound."""
+
+    @staticmethod
+    def draw(seed, floor):
+        """A pair with d_in <= 16 and mixed multiplicities, small enough for
+        the dense reference, and a rank-deficient state on ``floor``."""
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(2, 17)), int(rng.integers(1, 3))
+        mults = [int(k) for k in rng.integers(1, 4, int(rng.integers(1, 4)))]
+        mults[-1] += max(0, -(-d // d_out) - sum(mults))  # the isometry needs d_out·K >= d
+        instr = sliced_instrument(rng, d, d_out, mults)
+        return instr, support_state(rng, d, int(rng.integers(1, d + 1)), floor)
+
+    @staticmethod
+    def values(instr, rho):
+        measures._analysis.cache_clear()
+        rep = ib.balance_report(instr, rho)
+        rows = [(row.p, row.iota_m, row.delta_m, row.noise_m) for row in rep.per_outcome]
+        return [rep.iota, rep.delta, rep.noise, rep.iota_g,
+                ib.disturbance_no_outcomes(instr, rho), *np.ravel(rows)]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(FLOORS[:2]))
+    def test_matches_dense_reference_within_1e12(self, seed, floor):
+        # on the floors the support drops; at 1e-13 and above the engine's
+        # ENTROPY_CUTOFF, which the reference lacks, moves values by up to 1e-10
+        instr, rho = self.draw(seed, floor)
+        want = dense_reference(instr, rho)
+        rows = [r[1:] for r in want["rows"]]
+        keys = ("iota", "delta", "noise", "iota_g", "no_outcomes")
+        np.testing.assert_allclose(self.values(instr, rho),
+                                   [*(want[k] for k in keys), *np.ravel(rows)], rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(FLOORS))
+    def test_support_moves_values_by_round_off(self, seed, floor):
+        # against a purification over every positive eigenvalue of rho
+        instr, rho = self.draw(seed, floor)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_support", lambda w: int((w > 0.0).sum()))
+            every = self.values(instr, rho)
+        np.testing.assert_allclose(self.values(instr, rho), every, rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(FLOORS))
+    def test_psi_has_a_row_per_eigenvalue_above_the_bound(self, seed, floor):
+        instr, rho = self.draw(seed, floor)
+        measures._analysis.cache_clear()
+        psi = measures._analysis(instr, rho).psi
+        assert psi.shape == (1, support_size(rho), rho.dim)
+        np.testing.assert_allclose(psi[0].T @ psi[0].conj(), rho.matrix, rtol=0, atol=1e-13)
+
+    def test_floors_straddle_the_bound(self):
+        # at d = 16 the bound is near 1e-15·w_max: 1e-17 is dropped, 1e-13 kept
+        rng = np.random.default_rng(3)
+        sizes = {floor: support_size(support_state(rng, 16, 8, floor)) for floor in FLOORS}
+        assert sizes[0.0] == sizes[1e-17] == 8 and sizes[1e-13] == sizes[1e-11] == 16
+
+    @pytest.mark.parametrize("shape", [(3, 4, 9), (3, 9, 4), (3, 6, 6), (2, 16, 48), (1, 1, 5)],
+                             ids=["wide", "tall", "square", "wide16", "row"])
+    def test_tall_orientation_keeps_singular_values(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = measures._singular_values(a), np.linalg.svd(a, compute_uv=False)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("seed", [91, 1296029])
+    def test_rank_one_groups_equal_cold_reports(self, seed):
+        # pairs of one signature and several support sizes; 1296029 holds a
+        # rank-1 pair, whose reference ensemble stack is (B, n, 1, 1), where
+        # a reduction over the outcomes rounded otherwise in a batch
+        pairs = group_pairs(np.random.default_rng(seed))
+        assert len({support_size(rho) for _, rho in pairs}) > 1
+        self.assert_batch_equals_cold(pairs)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_rank_one_and_mixed_rank_batch_equals_cold_reports(self, seed):
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        mults = [int(k) for k in rng.integers(1, 4, int(rng.integers(2, 5)))]
+        if d_out * sum(mults) < d:
+            mults.append(d)
+        pairs = []
+        for _ in range(int(rng.integers(2, 9))):
+            rank = 1 if rng.random() < 0.5 else int(rng.integers(1, d + 1))
+            pairs.append((sliced_instrument(rng, d, d_out, mults), random_state(rng, d, rank=rank)))
+        self.assert_batch_equals_cold(pairs)
+
+    @staticmethod
+    def assert_batch_equals_cold(pairs):
+        batch = ib.balance_reports(pairs)
+        for (instr, rho), report in zip(pairs, batch, strict=True):
+            measures._analysis.cache_clear()
+            cold = ib.balance_report(dataclasses.replace(instr), rho)
+            assert _bits(report.to_dict()) == _bits(cold.to_dict())
+
+
 def zero_outcome_case(rng):
     """rho lives on the first half of C^256; outcome "z" projects onto the
     second half and so has probability 0."""
