@@ -57,6 +57,12 @@ from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState, _hermitian
 ROUTE_ATOL = 1e-9
 #: tolerance for the balance identity iota + Delta = delta
 BALANCE_ATOL = 1e-9
+#: the largest TP deviation tau = max|sum E†E - 1| at which S(R) is read from
+#: rho's spectrum.  I + H = sum E†E has ||H|| <= d·tau, so the reference
+#: ensemble's normalized average is off rho's support state by at most 2||H||
+#: and its entropy, to first order, by 2||H||·log2 d: 4e-10 < ROUTE_ATOL at
+#: d = 256.  Random and family instruments measure tau <= 1.1e-15.
+_TP_EXACT = 1e-13
 
 
 def _clip_nonneg(x: float, tol: float = 1e-9) -> float:
@@ -219,6 +225,7 @@ class _Group:
     the posterior E_m(rho) and the entropy-exchange matrix Tr(E_k rho E_k'†)
     (Schumacher, PRA 54, 2614, 1996), each over p_m.  The sides share no
     matrix, so every comparison between them is a numerical cross-check.
+    S(R) of the whole state is S(rho) (see ``s_input``).
 
     Each part is computed on first use over the leading pair axis, bit for
     bit as in a group of one.  Outcomes of probability at or below PROB_EPS
@@ -228,6 +235,7 @@ class _Group:
     """
 
     def __init__(self, pairs: list[tuple[Instrument, LabeledState]], eighs=None) -> None:
+        self.exact = np.array([i.validation_report.tp_deviation <= _TP_EXACT for i, _ in pairs])
         self.mults = tuple(len(om.kraus) for om in pairs[0][0].outcomes)
         self.starts = list(accumulate(self.mults, initial=0))
         self.blocks = list(zip(self.starts, self.mults))  # (start, multiplicity) per outcome
@@ -258,18 +266,27 @@ class _Group:
         """T_m of every Kraus operator, ``(B, K, r, d_out)``."""
         return self.psi[:, None] @ self.kraus.transpose(0, 1, 3, 2)
 
-    def _input_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """T split as R against everything else ``(B, r, K·d_out)``, and its norm²."""
-        t = self.amplitudes
-        flat = t.reshape(len(t), -1)
-        return t.transpose(0, 2, 1, 3).reshape(*t.shape[::2], -1), _vecdot(flat, flat).real
-
     @_lazy
     def s_input(self) -> np.ndarray:
-        """S(R) of the whole dilated state, which is S(rho), bit for bit S(R|m)
-        with one outcome; ``sides`` computes it if it is not yet known."""
-        split, norm = self._input_split()
-        return _schmidt_entropies([split], norm)
+        """S(R) of the whole dilated state, which is S(rho): the entropy of
+        rho's kept eigenvalues over their sum for a pair whose instrument is
+        TP to round-off (``_TP_EXACT``).  For a near-TP one it is read from T
+        split as R against everything else, the one path on which both routes
+        see the same normalized reference state.  A pair with one live outcome
+        reads that outcome's S(R|m), so its iota_m is 0.0 exactly."""
+        r = self.psi.shape[1]
+        w = np.array([e[0][-r:] for e in self.rho_eighs])
+        s = _entropy_rows(w / w.cumsum(axis=1)[:, -1:]) + 0.0
+        live = self.weights > 0.0
+        lone = live.sum(axis=1) == 1
+        if (near := ~(lone | self.exact)).any():
+            t = self.amplitudes[near]
+            flat = t.reshape(len(t), -1)
+            split = t.transpose(0, 2, 1, 3).reshape(*t.shape[::2], -1)
+            s[near] = _schmidt_entropies([split], _vecdot(flat, flat).real)
+        if lone.any():
+            s[lone] = self.sides[0][0, lone][live[lone]][:, 0]
+        return s
 
     @_lazy
     def probs(self) -> np.ndarray:
@@ -312,14 +329,18 @@ class _Group:
     def sides(self) -> tuple[np.ndarray, np.ndarray]:
         """S(R|m), S(Qp|m), S(App|m) ``(2, B, n, 3)`` of the purification and
         the state side, 0 for excluded outcomes, and S(R) ``(B,)`` of the
-        reference ensemble's average sum_m psi P_m^T psi†."""
+        reference ensemble's average sum_m psi P_m^T psi† over its kept weight,
+        as each member is over its own.  Given an outcome with one Kraus
+        operator [R, Qp] is pure: its R split gives S(Qp|m) as well, and its
+        S(App|m) is 0 on both sides without a decomposition."""
         t, starts, mults, (B, n) = self.amplitudes, self.starts, self.mults, self.weights.shape
         d_r, d_out = t.shape[2:]
         classes: dict[tuple, list[int]] = {}
         for b, live in enumerate((self.weights > 0.0).tolist()):
             classes.setdefault(tuple(live), []).append(b)
-        cells = np.arange(B * n).reshape(B, n)
-        at, norms, summed, totals, parts = [], [], [], [], [[] for _ in range(6)]
+        cells = 3 * np.arange(B * n).reshape(B, n)  # where each outcome's S(R|m) goes in a side
+        # per side (matrices, their flat cells of ``out``); the norms² of the splits
+        parts, norms, summed, totals = ([], []), [], [], []
         for live, pairs in classes.items():
             pick = slice(None) if len(pairs) == B else np.array(pairs)
             arrays = (t, self.probs, self.members, self.posteriors, self.exchange, cells)
@@ -328,34 +349,35 @@ class _Group:
             # first appearance: a sum over an axis rounds a batch slice otherwise
             order = [m for k in dict.fromkeys(mults) for m in range(n) if live[m] and mults[m] == k]
             summed.append(pairs)
-            totals.append(sum(members[:, m] for m in order))
+            kept = sum(p_c[:, m] for m in order)
+            totals.append(sum(members[:, m] for m in order) / kept[:, None, None])
             for a, b, k in _runs(mults, live):
                 q = p_c[:, a:b].reshape(-1, 1, 1)
                 x = t_c[:, starts[a] : starts[b]].reshape(-1, k, d_r, d_out)
-                parts[0].append(x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1))
-                parts[1].append(x.transpose(0, 3, 1, 2).reshape(len(x), d_out, -1))
-                parts[2].append(x.reshape(len(x), k, -1))
-                parts[3].append(members[:, a:b].reshape(-1, d_r, d_r) / q)
-                parts[4].append(posteriors[:, a:b].reshape(-1, d_out, d_out) / q)
-                # the diagonal (k, k) blocks of the run's rows and columns
-                w = exchange[:, starts[a] : starts[b], starts[a] : starts[b]]
-                w = w.reshape(-1, b - a, k, b - a, k).diagonal(axis1=1, axis2=3)
-                parts[5].append(w.transpose(0, 3, 1, 2).reshape(-1, k, k) / q)
-                norms.append(q.ravel())
-                at.append(cells_c[:, a:b].ravel())
-        at, norms = np.concatenate(at), [np.concatenate(norms)] * 3
-        # S(rho) in the same kernel call, if it is not yet known
-        fresh = [] if "s_input" in self.__dict__ else [self._input_split()]
-        s = _schmidt_entropies(parts[0] + parts[1] + parts[2] + [x for x, _ in fresh],
-                               np.concatenate(norms + [norm for _, norm in fresh]))
-        if fresh:
-            self.__dict__["s_input"] = s[3 * len(at) :]
-        out = np.zeros((2, B * n, 3))
-        out[0, at] = s[: 3 * len(at)].reshape(3, -1).T
-        s = _state_entropies(parts[3] + parts[4] + parts[5] + totals)
-        out[1, at] = s[: 3 * len(at)].reshape(3, -1).T
+                at = cells_c[:, a:b].ravel()
+                parts[0].append((x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1),
+                                 [at] if k > 1 else [at, at + 1]))
+                parts[1].append((members[:, a:b].reshape(-1, d_r, d_r) / q, [at]))
+                parts[1].append((posteriors[:, a:b].reshape(-1, d_out, d_out) / q, [at + 1]))
+                norms += [q.ravel()] * (1 if k == 1 else 3)
+                if k > 1:
+                    parts[0].append((x.transpose(0, 3, 1, 2).reshape(len(x), d_out, -1), [at + 1]))
+                    parts[0].append((x.reshape(len(x), k, -1), [at + 2]))
+                    # the diagonal (k, k) blocks of the run's rows and columns
+                    w = exchange[:, starts[a] : starts[b], starts[a] : starts[b]]
+                    w = w.reshape(-1, b - a, k, b - a, k).diagonal(axis1=1, axis2=3)
+                    parts[1].append((w.transpose(0, 3, 1, 2).reshape(-1, k, k) / q, [at + 2]))
+        out = np.zeros((2, B * n * 3))
+        spectra = (_schmidt_entropies([x for x, _ in parts[0]], np.concatenate(norms)),
+                   _state_entropies([x for x, _ in parts[1]] + totals))
+        for side, s in enumerate(spectra):
+            start = 0
+            for x, targets in parts[side]:
+                for at in targets:
+                    out[side, at] = s[start : start + len(x)]
+                start += len(x)
         s_reference = np.empty(B)
-        s_reference[sum(summed, [])] = s[3 * len(at) :]
+        s_reference[sum(summed, [])] = spectra[1][len(spectra[1]) - B :]
         return out.reshape(2, B, n, 3), s_reference
 
     @_lazy

@@ -52,6 +52,15 @@ def realize_povm(povm, rng, max_mult=3):
     return ib.Instrument(d, d, tuple(outcomes))
 
 
+def tp_deviated(instr, h):
+    """``instr`` with every Kraus operator E replaced by E sqrt(I + h), so that
+    sum E†E = I + h: an instrument whose TP deviation is max|h|."""
+    root = ib.func_on_support(np.eye(instr.d_in) + h, np.sqrt)
+    return ib.Instrument(instr.d_in, instr.d_out, tuple(
+        ib.OutcomeMap(om.label, tuple(k @ root for k in om.kraus)) for om in instr.outcomes
+    ))
+
+
 def perturbed_reversible(rng, d, n_out, target_eps, second_kraus=False):
     """Instrument with measured disturbance in [1e-6, 1e-2] near target_eps,
     found by rescaling the perturbation strength of one fixed random draw."""

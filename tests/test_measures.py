@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import infobalance as ib
 from infobalance import cli, measures, tensors
-from conftest import haar_unitary, qstate, random_density, random_state, realize_povm
+from conftest import (
+    haar_unitary, qstate, random_density, random_state, realize_povm, tp_deviated,
+)
 
 
 def labeled(names_dims, matrix):
@@ -318,6 +320,15 @@ class TestSingleOutcome:
             [row] = ib.balance_report(instr, rho).per_outcome
             assert row.iota_m == 0.0, (seed, d_in, d_out, mult)
 
+    def test_one_live_outcome_among_several_gains_exactly_nothing(self):
+        # the other outcomes annihilate the support of rho (p ~ 1e-32), so
+        # S(rho) is the live outcome's S(R|m), read from the same spectrum
+        rng = np.random.default_rng(13)
+        for i in range(200):
+            instr, rho = one_live_outcome(rng, 2 + i % 4, 2 + i % 3)
+            [row] = ib.balance_report(instr, rho).per_outcome
+            assert row.iota_m == 0.0, i
+
     @given(st.integers(0, 10**6))
     def test_single_outcome_balance(self, seed):
         rng = np.random.default_rng(seed)
@@ -382,6 +393,25 @@ class TestBalanceReport:
         assert rep.residual_balance <= 1e-9
         assert rep.iota <= rep.delta + 1e-9
         assert rep.noise >= -1e-9
+
+
+def one_live_outcome(rng, d_in, n, rank=None):
+    """An instrument of ``n`` outcomes of two Kraus operators each and a state
+    of rank below ``d_in`` (drawn if not given): outcome "0" acts on the
+    support of the state, the others only on its kernel, so they have
+    probability ~1e-32."""
+    shape = (d_in, rank or int(rng.integers(1, d_in)))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    basis = np.linalg.qr(g)[0]
+    support = basis @ basis.conj().T
+    kernel = np.eye(d_in) - support
+    # a channel on the support beside an instrument of n - 1 outcomes on the kernel
+    maps = [*sliced_instrument(rng, d_in, d_in, (2,)).outcomes,
+            *sliced_instrument(rng, d_in, d_in, (2,) * (n - 1)).outcomes]
+    outcomes = [ib.OutcomeMap(str(m), tuple(k @ (kernel if m else support) for k in om.kraus))
+                for m, om in enumerate(maps)]
+    rho = g @ g.conj().T
+    return ib.Instrument(d_in, d_in, tuple(outcomes)), labeled([("Q", d_in)], rho / np.trace(rho).real)
 
 
 def dense_reference(instr, rho):
@@ -470,6 +500,16 @@ class TestDenseReference:
         instr = realize_povm(povm, rng)
         assert_matches_dense_reference(instr, random_state(rng, 3, rank=2))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_kraus_runs_beside_a_multi_kraus_run(self, seed):
+        rng = np.random.default_rng(seed)
+        instr = sliced_instrument(rng, 4, 3, (1, 3, 1))
+        assert_matches_dense_reference(instr, random_state(rng, 4, rank=1 + seed))
+
+    @pytest.mark.parametrize("d_in", [2, 3, 5])
+    def test_lone_live_outcome_among_three(self, d_in):
+        assert_matches_dense_reference(*one_live_outcome(np.random.default_rng(d_in), d_in, 3))
+
     @staticmethod
     def near_pure_state():
         """Eigenvalues (1-2e-8, 1e-8, 1e-8) in a Haar basis: spectral weight
@@ -511,6 +551,34 @@ class TestRouteIndependence:
             assert abs(iota_m + noise_m - delta_m) == pytest.approx(1e-6, abs=1e-9)
 
 
+class TestNearTP:
+    """Instruments that validate with a TP deviation of up to 1e-8 pass every
+    route check: both routes normalize the reference state they read."""
+
+    @staticmethod
+    def assert_routes_agree(instr, rho):
+        assert instr.validation_report.passed
+        rep = ib.balance_report(instr, rho)
+        for key in ("iota_routes", "delta_routes", "noise_routes"):
+            assert rep.residual_routes[key] <= 1e-12, key
+
+    @pytest.mark.parametrize("delta", [5e-9, 9e-9, -9e-9])
+    def test_scaled_kraus_operators(self, delta):
+        rng = np.random.default_rng(21)
+        for seed in range(60):
+            instr = tp_deviated(ib.random_instrument(seed, 4, 3, 3, 2), delta * np.eye(4))
+            self.assert_routes_agree(instr, random_state(rng, 4))
+
+    @pytest.mark.parametrize("size", [1e-9, 3e-9, 5e-9, 9e-9])
+    def test_non_uniform_deviation(self, size):
+        rng = np.random.default_rng(22)
+        for seed in range(150):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = g + g.conj().T
+            instr = tp_deviated(ib.random_instrument(seed, 4, 3, 3, 2), h * size / np.abs(h).max())
+            self.assert_routes_agree(instr, random_state(rng, 4))
+
+
 class TestCallBudget:
     """numpy.linalg calls per entry point, counted rather than timed: each
     kind of spectrum is one stacked call, and the outcome-averaged
@@ -541,6 +609,27 @@ class TestCallBudget:
 
     def test_disturbance_no_outcomes(self, pair, calls):
         ib.disturbance_no_outcomes(*pair)
+        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 0}
+
+    def test_single_kraus_report(self, calls):
+        # the R split alone: S(Qp|m) shares its singular values, S(App|m) is 0,
+        # and S(rho) is read from the eigh that purifies the state
+        instr = ib.random_instrument(4, 4, 3, 3, 1)
+        ib.require_valid(instr)
+        rho = random_state(np.random.default_rng(4), 4, rank=3)
+        for name in calls:
+            calls[name] = 0
+        ib.balance_report(instr, rho)
+        assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+
+    def test_near_tp_disturbance_no_outcomes(self, calls):
+        # a near-TP instrument reads S(R) from the whole-state split
+        instr = tp_deviated(ib.random_instrument(4, 4, 3, 3, 2), 5e-9 * np.eye(4))
+        ib.require_valid(instr)
+        rho = random_state(np.random.default_rng(4), 4, rank=3)
+        for name in calls:
+            calls[name] = 0
+        ib.disturbance_no_outcomes(instr, rho)
         assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 1}
 
     def test_small_sweep_sequence(self, pair, calls):
@@ -781,6 +870,24 @@ class TestBatch:
     @given(st.integers(0, 2**32 - 1))
     def test_reports_equal_single_reports(self, seed):
         pairs = batch_pairs(np.random.default_rng(seed))
+        batch = [_bits(r.to_dict()) for r in ib.balance_reports(pairs)]
+        for pair, got in zip(pairs, batch, strict=True):
+            measures._analysis.cache_clear()
+            assert got == _bits(ib.balance_report(*pair).to_dict())
+
+    def test_near_tp_and_lone_live_pairs_equal_single_reports(self):
+        # one group mixes the three ways of reading S(rho): rho's spectrum,
+        # the whole-state split, and the lone live outcome's S(R|m)
+        rng = np.random.default_rng(14)
+        pairs = []
+        for i in range(12):
+            instr = ib.random_instrument(i, 4, 4, 3, 2)
+            if i % 3 == 2:
+                pairs.append(one_live_outcome(rng, 4, 3, rank=2))
+                continue
+            if i % 3 == 1:
+                instr = tp_deviated(instr, 5e-9 * np.eye(4))
+            pairs.append((instr, random_state(rng, 4, rank=2)))
         batch = [_bits(r.to_dict()) for r in ib.balance_reports(pairs)]
         for pair, got in zip(pairs, batch, strict=True):
             measures._analysis.cache_clear()
