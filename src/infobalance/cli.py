@@ -176,11 +176,7 @@ def _write_out(args, text: str, what: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        instr = _load_instrument(args.file, check=False)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    instr = _load_instrument(args.file, check=False)
     _banner(args)
     report = validate(instr)
     print(f"{'passed':<18}{'yes' if report.passed else 'no'}")

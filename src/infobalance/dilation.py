@@ -204,10 +204,10 @@ def theta_state(instr: Instrument, rho: LabeledState) -> LabeledState:
     return LabeledState(labels, theta, validate=False)
 
 
-def _clip_nonneg(x: float, tol: float = 1e-9) -> float:
+def _clip_nonneg(x: float) -> float:
     """Zero out round-off negatives of a nonnegative quantity; values below
-    -tol pass through, so genuine violations stay visible."""
-    return 0.0 if -tol <= x < 0.0 else x
+    -1e-9 pass through, so genuine violations stay visible."""
+    return 0.0 if -1e-9 <= x < 0.0 else x
 
 
 def _disjoint(*groups: Sequence[str]) -> None:

@@ -204,7 +204,7 @@ def _reference_factors(
     scale = s / top
     deficit = np.eye(dim) - scale[..., None, None] * total
     low = _lowest_eigenvalues(deficit, 1e-12)
-    if low is not None and (min_eig := float(np.min(low))) < -1e-12:
+    if (min_eig := float(np.min(low))) < -1e-12:
         raise NumericalInconsistency(f"POVM deficit not PSD: {min_eig:.3e}")
     return scale[..., None] * u, v, deficit
 
@@ -317,13 +317,7 @@ class HolevoReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "iota": self.iota,
-            "max_classical_mi": self.max_classical_mi,
-            "margin": self.margin,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 def holevo_check(

@@ -176,14 +176,10 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
             reports[i] = _malformed(instr)
     for ((_, d_in), mults), idx in groups.items():
         stack = np.array([[e for o in instrs[i].outcomes for e in o.kraus] for i in idx])
-        finite = np.isfinite(stack).all(axis=(2, 3)).tolist()
-        ok = [all(row) for row in finite]
-        for i, row in zip(idx, finite):
-            if not all(row):
-                kraus = [(o.label, j) for o in instrs[i].outcomes for j in range(o.multiplicity)]
-                issues = tuple(f"non-finite entries: outcome {label!r} Kraus {j}"
-                               for (label, j), good in zip(kraus, row) if not good)
-                reports[i] = ValidationReport(False, float("inf"), True, {}, issues)
+        ok = np.isfinite(stack).all(axis=(1, 2, 3)).tolist()
+        for i, good in zip(idx, ok):
+            if not good:
+                reports[i] = _malformed(instrs[i])
         idx = [i for i, good in zip(idx, ok) if good]
         if not idx:
             continue
@@ -204,8 +200,8 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
 
 
 def _malformed(instr: Instrument) -> ValidationReport:
-    """The failing report of an instrument without outcomes, with a
-    dimension below 1 or a Kraus operator of the wrong shape."""
+    """The failing report of an instrument without outcomes, with a dimension
+    below 1, or with a Kraus operator of the wrong shape or not finite."""
     issues: list[str] = []
     dims_ok = True
     if instr.d_in < 1 or instr.d_out < 1:
@@ -325,8 +321,8 @@ def _check_factored_povm(
     The checks, their order and their messages are those of the stacked
     check.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
     it is read directly; the deficit is screened as a stacked element is,
-    unless the caller has screened it already: then ``deficit_low`` stands
-    for its lowest eigenvalues, zeros for a passed screen.
+    unless the caller passes ``deficit_low``, what :func:`_lowest_eigenvalues`
+    gave for it.
     """
     finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
     deficit_finite = np.isfinite(deficit).all(axis=(-2, -1))
@@ -334,8 +330,6 @@ def _check_factored_povm(
     rank1 = c * np.sum(np.abs(v) ** 2, axis=-1)
     if deficit_low is None:
         deficit_low = _lowest_eigenvalues(deficit, atol)
-    if deficit_low is None:
-        deficit_low = np.zeros(rank1.shape[:-1])
     _require_psd(np.concatenate([rank1, deficit_low[..., None]], axis=-1), labels, atol)
     _require_complete(_rank1_sum(c, v) + deficit, atol)
 
@@ -353,14 +347,13 @@ def _require_finite(finite: np.ndarray, labels) -> None:
         raise InvalidPovm(f"non-finite entries: element {labels[index[-1]]!r}")
 
 
-def _require_psd(low: np.ndarray | None, labels, atol: float) -> None:
+def _require_psd(low: np.ndarray, labels, atol: float) -> None:
     """Raise for the first element, in C order, of lowest eigenvalue ``low``
-    below -atol; None stands for a passed screen."""
-    if low is not None:
-        bad = np.argwhere(low < -atol)
-        if bad.size:
-            index = tuple(bad[0])
-            raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
+    below -atol."""
+    bad = np.argwhere(low < -atol)
+    if bad.size:
+        index = tuple(bad[0])
+        raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
 
 
 def _require_complete(total: np.ndarray, atol: float) -> None:
@@ -370,8 +363,8 @@ def _require_complete(total: np.ndarray, atol: float) -> None:
         raise InvalidPovm(f"completeness violated: max |sum P - 1| = {dev:.3e}")
 
 
-def _lowest_eigenvalues(stack: np.ndarray, atol: float) -> np.ndarray | None:
-    """None when one stacked Cholesky factorization of the Hermitian parts
+def _lowest_eigenvalues(stack: np.ndarray, atol: float) -> np.ndarray:
+    """Zeros when one stacked Cholesky factorization of the Hermitian parts
     of the stack ``(..., d, d)``, shifted by atol/2, succeeds; else the
     lowest eigenvalue of each part, from a stacked ``eigvalsh``.
 
@@ -384,7 +377,7 @@ def _lowest_eigenvalues(stack: np.ndarray, atol: float) -> np.ndarray | None:
         np.linalg.cholesky(h + atol / 2 * np.eye(h.shape[-1]))
     except np.linalg.LinAlgError:
         return np.linalg.eigvalsh(h)[..., 0]
-    return None
+    return np.zeros(h.shape[:-2])
 
 
 def povm_of(instr: Instrument) -> Povm:
@@ -463,14 +456,8 @@ class PurifiedInput:
 
 def purify(rho: LabeledState) -> PurifiedInput:
     """Canonical purification sum_i sqrt(lam_i) |i>_R |v_i>_Q of ``rho``."""
-    return _purification(rho, *eig_hermitian(rho.matrix))
-
-
-def _purification(rho: LabeledState, w: np.ndarray, v: np.ndarray) -> PurifiedInput:
-    """:func:`purify` from the eigenvalues ``w`` of ``rho`` in descending
-    order and their eigenvectors, the columns of ``v``."""
-    w = np.clip(w, 0.0, None)
-    psi = np.sqrt(w)[:, None] * v.T
+    w, v = eig_hermitian(rho.matrix)
+    psi = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
     return PurifiedInput(rho=rho, psi=psi.reshape(-1), r_dim=rho.dim)
 
 

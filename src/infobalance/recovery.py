@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, DuplicateLabel, InvalidInstrument, Missi
                      ZeroProbabilityOutcome)
 from .measures import _analysis, binary_entropy, disturbance
 from .objects import PROB_EPS, Instrument
-from .tensors import LabeledState, SUPPORT_CUTOFF, _on_support, _on_support_eigh
+from .tensors import LabeledState, SUPPORT_CUTOFF, _hermitian, _on_support
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,8 @@ def _transpose_channels(group, pick, sigmas, probs) -> tuple[list[tuple], list[b
     sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
     ks = [blocks[m][1] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
     live = [m for m, k in zip(pick, ks) if k]  # never empty: the p_m sum to 1
-    inv_sqrt, w, v = _on_support_eigh(sigmas[live], lambda x: x ** -0.5)
+    w, v = np.linalg.eigh(_hermitian(sigmas[live]))
+    inv_sqrt = _on_support(w, v, lambda x: x ** -0.5)
     rows = [blocks[m][0] + i for m in live for i in range(blocks[m][1])]
     recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2)
                     @ inv_sqrt.repeat([k for k in ks if k], axis=0))

@@ -74,6 +74,14 @@ def _loads(text: str) -> object:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
+def _fields(doc: dict, *keys: str) -> list:
+    """The values of ``keys`` in ``doc``; a missing one is a parse error."""
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"missing field {key!r}")
+    return [doc[key] for key in keys]
+
+
 def _expect(node, typ, where: str):
     if type(node) is not typ:  # not isinstance: bool subclasses int
         raise ParseError(
@@ -113,15 +121,15 @@ def _matrix_in(node, where: str) -> np.ndarray:
 # -- instruments -------------------------------------------------------------
 
 def dumps_instrument(instr: Instrument) -> str:
-    doc = {
-        "d_in": instr.d_in,
-        "d_out": instr.d_out,
-        "outcomes": [
-            {"label": o.label, "kraus": [_matrix_out(k) for k in o.kraus]}
-            for o in instr.outcomes
-        ],
-    }
-    return dumps_json(doc)
+    return dumps_json(_instrument_doc(instr.d_in, instr.d_out,
+                                      [(o.label, o.kraus) for o in instr.outcomes]))
+
+
+def _instrument_doc(d_in: int, d_out: int, outcomes) -> dict:
+    """The instrument document of the ``(label, kraus)`` pairs ``outcomes``."""
+    outcomes = [{"label": label, "kraus": [_matrix_out(k) for k in kraus]}
+                for label, kraus in outcomes]
+    return {"d_in": d_in, "d_out": d_out, "outcomes": outcomes}
 
 
 def loads_instrument(text: str, validate_invariants: bool = True) -> Instrument:
@@ -129,13 +137,11 @@ def loads_instrument(text: str, validate_invariants: bool = True) -> Instrument:
 
 
 def _instrument_in(doc: dict, validate_invariants: bool) -> Instrument:
-    for key in ("d_in", "d_out", "outcomes"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
-    d_in = _expect(doc["d_in"], int, "d_in")
-    d_out = _expect(doc["d_out"], int, "d_out")
+    d_in, d_out, onodes = _fields(doc, "d_in", "d_out", "outcomes")
+    d_in = _expect(d_in, int, "d_in")
+    d_out = _expect(d_out, int, "d_out")
     outcomes = []
-    for i, onode in enumerate(_expect(doc["outcomes"], list, "outcomes")):
+    for i, onode in enumerate(_expect(onodes, list, "outcomes")):
         onode = _expect(onode, dict, f"outcomes[{i}]")
         label = _expect(onode.get("label"), str, f"outcomes[{i}].label")
         knode = _expect(onode.get("kraus"), list, f"outcomes[{i}].kraus")
@@ -170,11 +176,9 @@ def dumps_state(state: LabeledState) -> str:
 
 def loads_state(text: str, validate_invariants: bool = True) -> LabeledState:
     doc = _expect(_loads(text), dict, "<root>")
-    for key in ("labels", "matrix"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
+    lnodes, matrix = _fields(doc, "labels", "matrix")
     labels = []
-    for i, lnode in enumerate(_expect(doc["labels"], list, "labels")):
+    for i, lnode in enumerate(_expect(lnodes, list, "labels")):
         lnode = _expect(lnode, dict, f"labels[{i}]")
         name = _expect(lnode.get("name"), str, f"labels[{i}].name")
         dim = _expect(lnode.get("dim"), int, f"labels[{i}].dim")
@@ -182,7 +186,7 @@ def loads_state(text: str, validate_invariants: bool = True) -> LabeledState:
             labels.append(Subsystem(name, dim))
         except InfoBalanceError as exc:
             raise ParseError(f"labels[{i}]: {exc}") from exc
-    matrix = _matrix_in(doc["matrix"], "matrix")
+    matrix = _matrix_in(matrix, "matrix")
     try:
         return LabeledState(tuple(labels), matrix, validate=validate_invariants)
     except InfoBalanceError as exc:
@@ -198,27 +202,17 @@ def dumps_recovery_family(family) -> str:
         family.outcome_labels, family.channels, family.completion_flags
     ):
         rows, cols = kraus[0].shape
-        docs.append(
-            {
-                "d_in": int(cols),
-                "d_out": int(rows),
-                "outcomes": [
-                    {"label": label, "kraus": [_matrix_out(k) for k in kraus]}
-                ],
-                "completion": bool(flag),
-            }
-        )
+        doc = _instrument_doc(int(cols), int(rows), [(label, kraus)])
+        docs.append({**doc, "completion": bool(flag)})
     return dumps_json({"channels": docs})
 
 
 def loads_recovery_family(text: str, validate_invariants: bool = True):
     from .recovery import RecoveryFamily
 
-    doc = _expect(_loads(text), dict, "<root>")
-    if "channels" not in doc:
-        raise ParseError("missing field 'channels'")
+    [cnodes] = _fields(_expect(_loads(text), dict, "<root>"), "channels")
     labels, channels, flags = [], [], []
-    for i, cnode in enumerate(_expect(doc["channels"], list, "channels")):
+    for i, cnode in enumerate(_expect(cnodes, list, "channels")):
         cnode = _expect(cnode, dict, f"channels[{i}]")
         channel = _instrument_in(cnode, validate_invariants)
         if channel.n_outcomes != 1:
@@ -246,12 +240,10 @@ def dumps_povm(povm: Povm) -> str:
 
 def loads_povm(text: str) -> Povm:
     doc = _expect(_loads(text), dict, "<root>")
-    for key in ("d", "elements"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
-    d = _expect(doc["d"], int, "d")
+    d, enodes = _fields(doc, "d", "elements")
+    d = _expect(d, int, "d")
     elements = []
-    for i, enode in enumerate(_expect(doc["elements"], list, "elements")):
+    for i, enode in enumerate(_expect(enodes, list, "elements")):
         enode = _expect(enode, dict, f"elements[{i}]")
         label = _expect(enode.get("label"), str, f"elements[{i}].label")
         matrix = _matrix_in(enode.get("matrix"), f"elements[{i}].matrix")

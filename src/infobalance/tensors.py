@@ -206,11 +206,7 @@ def eig_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized to (M + M†)/2 before decomposition.
     """
-    return _descending(*np.linalg.eigh(_hermitian(_square_complex(matrix))))
-
-
-def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An ascending ``eigh`` ``(w, v)`` reordered to descending eigenvalues."""
+    w, v = np.linalg.eigh(_hermitian(_square_complex(matrix)))
     # stable sort keeps the original basis inside degenerate eigenspaces
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
@@ -232,22 +228,14 @@ def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
 
     Eigenvalues at or below 1e-10 are treated as kernel, so e.g.
     ``func_on_support(m, lambda x: x**-0.5)`` is the pseudo-inverse square
-    root.  Raises :class:`NegativeEigenvalue` below -1e-8.
-    """
-    return _on_support_eigh(matrix, f)[0]
-
-
-def _on_support_eigh(matrix, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``func_on_support(matrix, f)`` and the ascending ``eigh`` it came from.
-
-    ``matrix`` may also be a stack ``(B, d, d)``, decomposed by one stacked
-    ``eigh``; each result is then bit for bit that of its own matrix.
+    root.  Raises :class:`NegativeEigenvalue` below -1e-8.  ``matrix`` may
+    also be a stack ``(B, d, d)``, decomposed by one stacked ``eigh``; each
+    result is then bit for bit that of its own matrix.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    w, v = np.linalg.eigh(_hermitian(m))
-    return _on_support(w, v, f), w, v
+    return _on_support(*np.linalg.eigh(_hermitian(m)), f)
 
 
 def _on_support(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:

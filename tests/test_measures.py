@@ -553,7 +553,9 @@ class TestRouteIndependence:
 
 class TestNearTP:
     """Instruments that validate with a TP deviation of up to 1e-8 pass every
-    route check: both routes normalize the reference state they read."""
+    route check: both routes normalize the reference state they read.  The
+    iota and delta aggregation residuals are |sum_m p_m - 1|·S(rho), up to
+    1.6e-8 here: the rows are weighted by p_m that do not sum to 1."""
 
     @staticmethod
     def assert_routes_agree(instr, rho):
@@ -561,6 +563,9 @@ class TestNearTP:
         rep = ib.balance_report(instr, rho)
         for key in ("iota_routes", "delta_routes", "noise_routes"):
             assert rep.residual_routes[key] <= 1e-12, key
+        excess = abs(sum(row.p for row in rep.per_outcome) - 1.0) * ib.entropy_bits(rho.matrix)
+        for key in ("iota_aggregation", "delta_aggregation"):
+            assert rep.residual_routes[key] == pytest.approx(excess, rel=0, abs=1e-14), key
 
     @pytest.mark.parametrize("delta", [5e-9, 9e-9, -9e-9])
     def test_scaled_kraus_operators(self, delta):
@@ -1004,6 +1009,24 @@ class TestGroups:
             lone = ib.validate(dataclasses.replace(instr))
             assert _bits(vars(instr.validation_report)) == _bits(vars(lone))
         assert [instr.validation_report.passed for instr in instrs].count(False) == 4
+
+    def test_non_finite_operators_are_listed_in_kraus_order(self):
+        rng = np.random.default_rng(33)
+        instrs = [sliced_instrument(rng, 3, 2, [2, 1, 3]) for _ in range(3)]
+        bad = [(0, 1, np.nan), (2, 0, np.inf), (2, 2, np.nan), (0, 0, -np.inf)]
+        outcomes = [list(om.kraus) for om in instrs[1].outcomes]
+        for m, j, value in bad:
+            outcomes[m][j] = np.where(np.eye(2, 3, dtype=bool), value, outcomes[m][j])
+        instrs[1] = ib.Instrument(3, 2, tuple(ib.OutcomeMap(str(m), tuple(kraus))
+                                              for m, kraus in enumerate(outcomes)))
+        with pytest.raises(ib.InvalidInstrument):
+            ib.balance_reports([(instr, random_state(rng, 3)) for instr in instrs])
+        stacked, lone = instrs[1].validation_report, ib.validate(dataclasses.replace(instrs[1]))
+        assert _bits(vars(stacked)) == _bits(vars(lone))
+        assert lone.issues == tuple(f"non-finite entries: outcome '{m}' Kraus {j}"
+                                    for m, j in [(0, 0), (0, 1), (2, 0), (2, 2)])
+        assert lone.dims_ok and lone.tp_deviation == np.inf and not lone.passed
+        assert lone.outcome_excess == {}
 
     def test_sweep_of_21_points_is_one_block(self):
         for family in ib.FAMILIES.values():

@@ -342,7 +342,6 @@ class TestOnePassPerCall:
         # every binding of the purification; the engine builds its own from
         # an eigh of rho, which the count above sees
         monkeypatch.setattr(ib.objects, "purify", None)
-        monkeypatch.setattr(ib.objects, "_purification", None)
         ib.corrected_fidelity(instr, rho, family)
         # petz_family validated the instrument, so nothing is decomposed
         assert calls == []

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,24 @@ class TestFuncOnSupport:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ib.NegativeEigenvalue):
             ib.func_on_support(np.diag([1.0, -0.1]), np.sqrt)
+
+    def test_stack_equals_its_matrices(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            stack = np.array([random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+                              for _ in range(int(rng.integers(1, 5)))])
+            for f in (np.sqrt, lambda x: x**-0.5):
+                out = ib.func_on_support(stack, f)
+                assert out.shape == stack.shape
+                for m, got in zip(stack, out):
+                    assert got.tobytes() == ib.func_on_support(m, f).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 3), (2, 3), (4, 2, 3)])
+    def test_not_square_rejected(self, shape):
+        with pytest.raises(ib.NotSquare, match=rf"^expected a square matrix, got shape "
+                                               rf"{re.escape(str(shape))}$"):
+            ib.func_on_support(np.zeros(shape), np.sqrt)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(2, 4))
