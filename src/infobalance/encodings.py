@@ -351,7 +351,7 @@ def holevo_check(
         states = _child_states(root, start, min(block, n_trials - start))
         c, v, deficit = _trial_factors(rng, states, dim)
         # _reference_factors screened every deficit at -1e-12, which implies TP_ATOL
-        _check_factored_povm(c, v, deficit, labels, deficit_low=np.zeros(c.shape[:-1]))
+        _check_factored_povm(c, v, deficit, np.zeros(c.shape[:-1]), labels)
         mi = float(_classical_mi(_factored_joint(inp, c, v, deficit, elements)).max())
         if mi > iota + HOLEVO_ATOL:
             raise NumericalInconsistency(

@@ -51,7 +51,7 @@ from .objects import (
     _validate_each,
     require_valid,
 )
-from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState, _hermitian
+from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -97,17 +97,6 @@ def shannon_entropy(probs: Sequence[float]) -> float:
 # -- per-measurement analysis --------------------------------------------------
 
 
-def _padded(spectra: list[np.ndarray]) -> np.ndarray:
-    """Rows of every ``(B, k)`` array of spectra in one array, zero-padded on
-    the right to the widest ``k``."""
-    out = np.zeros((sum(len(s) for s in spectra), max(s.shape[1] for s in spectra)))
-    row = 0
-    for s in spectra:
-        out[row : row + len(s), : s.shape[1]] = s
-        row += len(s)
-    return out
-
-
 def _entropy_rows(x: np.ndarray) -> np.ndarray:
     """Minus the sum of x log2 x along each row, entries at or below
     ENTROPY_CUTOFF counting as exact zeros.  The sum runs left to right, so
@@ -118,19 +107,25 @@ def _entropy_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _spectra(stacks: list[np.ndarray], decompose) -> np.ndarray:
-    """The rows ``decompose`` gives for the matrices of ``stacks`` ``(B, ...)``,
-    in order and :func:`_padded`: one stacked call per distinct matrix shape."""
+    """The min(rows, cols) values ``decompose`` gives for each matrix of
+    ``stacks`` ``(B, rows, cols)``, one row per matrix in order, zero-padded on
+    the right to the widest: one stacked call per distinct matrix shape."""
+    starts = list(accumulate(map(len, stacks), initial=0))
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, stack in enumerate(stacks):
         groups.setdefault(stack.shape[1:], []).append(i)
-    parts: list[np.ndarray] = [None] * len(stacks)
-    for idx in groups.values():
-        rows = decompose(np.concatenate([stacks[i] for i in idx]))
-        start = 0
+    out = np.zeros((starts[-1], max(map(min, groups))))
+    for shape, idx in groups.items():
+        rows, start = decompose(np.concatenate([stacks[i] for i in idx])), 0
         for i in idx:
-            parts[i] = rows[start : start + len(stacks[i])]
+            out[starts[i] : starts[i + 1], : min(shape)] = rows[start : start + len(stacks[i])]
             start += len(stacks[i])
-    return _padded(parts)
+    return out
+
+
+def _normalized(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` over its entry of ``norms``; a row of norm 0 reads 0."""
+    return np.divide(x, norms[:, None], out=np.zeros(x.shape), where=norms[:, None] > 0.0)
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
@@ -144,22 +139,24 @@ def _schmidt_entropies(splits: list[np.ndarray], probs: np.ndarray) -> np.ndarra
 
     ``splits`` are stacks ``(B, rows, cols)`` of amplitude matrices, one
     stacked SVD per matrix shape; ``probs`` holds the norms² p of all their
-    matrices in order.  This is the purification side's kernel.
+    matrices in order, and a matrix given a norm of 0 reads 0.  This is the
+    purification side's kernel.
     """
     s = _spectra(splits, _singular_values)
-    x = s * s / probs[:, None]
-    if (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
+    x = _normalized(s * s, probs)
+    if ((np.abs(x.sum(axis=1) - 1.0) > 1e-9) & (probs > 0.0)).any():
         raise BadDistribution("probabilities must be nonnegative and sum to 1")
     # adding 0.0 turns the -0.0 of a pure marginal into 0.0
     return _entropy_rows(x) + 0.0
 
 
-def _state_entropies(stacks: list[np.ndarray]) -> np.ndarray:
-    """Von Neumann entropy in bits of each (sub)normalized PSD matrix in the
-    stacks ``(B, d, d)``, one stacked ``eigvalsh`` per matrix shape.  This
+def _state_entropies(stacks: list[np.ndarray], traces: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy in bits of each PSD matrix in the stacks
+    ``(B, d, d)`` over its entry of ``traces``, 0 for a trace of 0, from the
+    matrix's lower triangle: one stacked ``eigvalsh`` per matrix shape.  This
     is the state side's kernel."""
-    s = _entropy_rows(_spectra(stacks, lambda m: np.linalg.eigvalsh(_hermitian(m))))
-    s[(s >= -1e-9) & (s < 0.0)] = 0.0
+    s = _entropy_rows(_normalized(_spectra(stacks, np.linalg.eigvalsh), traces))
+    s[((s >= -1e-9) & (s < 0.0)) | (traces <= 0.0)] = 0.0
     return s
 
 
@@ -193,14 +190,14 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _runs(mults: tuple[int, ...], live) -> list[tuple[int, int, int]]:
-    """(first, end, multiplicity) of each run of consecutive outcomes marked
-    ``live`` that share a multiplicity, so a run's Kraus operators are a slice."""
+def _runs(mults: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(first, end, multiplicity) of each run of consecutive outcomes that
+    share a multiplicity, so a run's Kraus operators are a slice."""
     runs: list[tuple[int, int, int]] = []
-    for m, (k, kept) in enumerate(zip(mults, live)):
-        if kept and runs and runs[-1][1:] == (m, k):
+    for m, k in enumerate(mults):
+        if runs and runs[-1][1:] == (m, k):
             runs[-1] = (runs[-1][0], m + 1, k)
-        elif kept:
+        else:
             runs.append((m, m + 1, k))
     return runs
 
@@ -223,14 +220,16 @@ class _Group:
     purification side reads them from the singular values of T_m split three
     ways; the state side from the reference ensemble member psi P_m^T psi†,
     the posterior E_m(rho) and the entropy-exchange matrix Tr(E_k rho E_k'†)
-    (Schumacher, PRA 54, 2614, 1996), each over p_m.  The sides share no
-    matrix, so every comparison between them is a numerical cross-check.
-    S(R) of the whole state is S(rho) (see ``s_input``).
+    (Schumacher, PRA 54, 2614, 1996).  Both sides decompose the matrices as
+    they stand and divide the spectra, not the matrices, by p_m.  The sides
+    share no matrix, so every comparison between them is a numerical
+    cross-check.  S(R) of the whole state is S(rho) (see ``s_input``).
 
     Each part is computed on first use over the leading pair axis, bit for
-    bit as in a group of one.  Outcomes of probability at or below PROB_EPS
-    enter no spectrum and no sum: pairs are taken by their set of kept
-    outcomes, and those by runs (:func:`_runs`), which slices select.
+    bit as in a group of one.  Every outcome is laid out by runs of equal
+    multiplicity (:func:`_runs`), which slices select.  One of probability at
+    or below PROB_EPS has weight 0: it is decomposed with the others, reads
+    0 and enters no sum.
     ``eighs``, if given, holds each pair's ``rho_eighs`` entry.
     """
 
@@ -293,7 +292,7 @@ class _Group:
         """p_m ``(B, n)``, the norm² of each outcome's amplitudes."""
         t, starts = self.amplitudes, self.starts
         probs = np.empty((len(t), len(self.mults)))
-        for a, b, _ in _runs(self.mults, [True] * len(self.mults)):
+        for a, b, _ in _runs(self.mults):
             x = t[:, starts[a] : starts[b]].reshape(len(t), b - a, -1)
             probs[:, a:b] = _vecdot(x, x).real
         return probs
@@ -333,57 +332,45 @@ class _Group:
         as each member is over its own.  Given an outcome with one Kraus
         operator [R, Qp] is pure: its R split gives S(Qp|m) as well, and its
         S(App|m) is 0 on both sides without a decomposition."""
-        t, starts, mults, (B, n) = self.amplitudes, self.starts, self.mults, self.weights.shape
-        d_r, d_out = t.shape[2:]
-        classes: dict[tuple, list[int]] = {}
-        for b, live in enumerate((self.weights > 0.0).tolist()):
-            classes.setdefault(tuple(live), []).append(b)
+        t, w, starts, mults = self.amplitudes, self.weights, self.starts, self.mults
+        (B, n), (d_r, d_out) = w.shape, t.shape[2:]
         cells = 3 * np.arange(B * n).reshape(B, n)  # where each outcome's S(R|m) goes in a side
-        # per side (matrices, their flat cells of ``out``); the norms² of the splits
-        parts, norms, summed, totals = ([], []), [], [], []
-        for live, pairs in classes.items():
-            pick = slice(None) if len(pairs) == B else np.array(pairs)
-            arrays = (t, self.probs, self.members, self.posteriors, self.exchange, cells)
-            t_c, p_c, members, posteriors, exchange, cells_c = (x[pick] for x in arrays)
-            # the members added one at a time, in the order of their multiplicities'
-            # first appearance: a sum over an axis rounds a batch slice otherwise
-            order = [m for k in dict.fromkeys(mults) for m in range(n) if live[m] and mults[m] == k]
-            summed.append(pairs)
-            kept = sum(p_c[:, m] for m in order)
-            totals.append(sum(members[:, m] for m in order) / kept[:, None, None])
-            for a, b, k in _runs(mults, live):
-                q = p_c[:, a:b].reshape(-1, 1, 1)
-                x = t_c[:, starts[a] : starts[b]].reshape(-1, k, d_r, d_out)
-                at = cells_c[:, a:b].ravel()
-                parts[0].append((x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1),
-                                 [at] if k > 1 else [at, at + 1]))
-                parts[1].append((members[:, a:b].reshape(-1, d_r, d_r) / q, [at]))
-                parts[1].append((posteriors[:, a:b].reshape(-1, d_out, d_out) / q, [at + 1]))
-                norms += [q.ravel()] * (1 if k == 1 else 3)
-                if k > 1:
-                    parts[0].append((x.transpose(0, 3, 1, 2).reshape(len(x), d_out, -1), [at + 1]))
-                    parts[0].append((x.reshape(len(x), k, -1), [at + 2]))
-                    # the diagonal (k, k) blocks of the run's rows and columns
-                    w = exchange[:, starts[a] : starts[b], starts[a] : starts[b]]
-                    w = w.reshape(-1, b - a, k, b - a, k).diagonal(axis1=1, axis2=3)
-                    parts[1].append((w.transpose(0, 3, 1, 2).reshape(-1, k, k) / q, [at + 2]))
+        parts = ([], [])  # per side (matrices, their norms, their flat cells of ``out``)
+        for a, b, k in _runs(mults):
+            q = w[:, a:b].ravel()
+            x = t[:, starts[a] : starts[b]].reshape(-1, k, d_r, d_out)
+            at = cells[:, a:b].ravel()
+            parts[0].append((x.transpose(0, 2, 1, 3).reshape(len(x), d_r, -1), q,
+                             [at] if k > 1 else [at, at + 1]))
+            parts[1].append((self.members[:, a:b].reshape(-1, d_r, d_r), q, [at]))
+            parts[1].append((self.posteriors[:, a:b].reshape(-1, d_out, d_out), q, [at + 1]))
+            if k > 1:
+                parts[0].append((x.transpose(0, 3, 1, 2).reshape(len(x), d_out, -1), q, [at + 1]))
+                parts[0].append((x.reshape(len(x), k, -1), q, [at + 2]))
+                # the diagonal (k, k) blocks of the run's rows and columns
+                e = self.exchange[:, starts[a] : starts[b], starts[a] : starts[b]]
+                e = e.reshape(-1, b - a, k, b - a, k).diagonal(axis1=1, axis2=3)
+                parts[1].append((e.transpose(0, 3, 1, 2).reshape(-1, k, k), q, [at + 2]))
+        # the members added one at a time, an excluded one as zeros, in the order of
+        # their multiplicities' first appearance: a sum over an axis rounds a batch otherwise
+        order = [m for k in dict.fromkeys(mults) for m in range(n) if mults[m] == k]
+        total = sum(np.where(w[:, m, None, None] > 0.0, self.members[:, m], 0.0) for m in order)
+        parts[1].append((total, sum(w[:, m] for m in order), []))
         out = np.zeros((2, B * n * 3))
-        spectra = (_schmidt_entropies([x for x, _ in parts[0]], np.concatenate(norms)),
-                   _state_entropies([x for x, _ in parts[1]] + totals))
-        for side, s in enumerate(spectra):
+        for side, (kernel, part) in enumerate(zip((_schmidt_entropies, _state_entropies), parts)):
+            s = kernel([x for x, _, _ in part], np.concatenate([q for _, q, _ in part]))
             start = 0
-            for x, targets in parts[side]:
+            for x, _, targets in part:
                 for at in targets:
                     out[side, at] = s[start : start + len(x)]
                 start += len(x)
-        s_reference = np.empty(B)
-        s_reference[sum(summed, [])] = spectra[1][len(spectra[1]) - B :]
-        return out.reshape(2, B, n, 3), s_reference
+        return out.reshape(2, B, n, 3), s[-B:]  # the totals come last on the state side
 
     @_lazy
     def dno(self) -> list[float]:
         """Disturbance of the outcome-averaged channel of each pair."""
-        s, B = _state_entropies([self.posteriors.sum(axis=1), self.exchange]), len(self.rho)
+        B = len(self.rho)
+        s = _state_entropies([self.posteriors.sum(axis=1), self.exchange], np.ones(2 * B))
         return [a - b + c for a, b, c in zip(self.s_input.tolist(), s[:B].tolist(), s[B:].tolist())]
 
     @_lazy

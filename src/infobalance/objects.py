@@ -311,27 +311,23 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
 
 
 def _check_factored_povm(
-    c: np.ndarray, v: np.ndarray, deficit: np.ndarray, labels, atol: float = TP_ATOL,
-    *, deficit_low: np.ndarray | None = None,
+    c: np.ndarray, v: np.ndarray, deficit: np.ndarray, deficit_low: np.ndarray, labels
 ) -> None:
     """:func:`_check_povm_stack` of POVMs whose elements are ``c_i |v_i><v_i|``
     for weights ``c`` ``(..., k)`` and vectors ``v`` ``(..., k, d)``, then
     ``deficit`` ``(..., d, d)``, without forming the rank-1 elements.
 
     The checks, their order and their messages are those of the stacked
-    check.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
-    it is read directly; the deficit is screened as a stacked element is,
-    unless the caller passes ``deficit_low``, what :func:`_lowest_eigenvalues`
-    gave for it.
+    check at TP_ATOL.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
+    it is read directly; ``deficit_low`` is what :func:`_lowest_eigenvalues`
+    gives for the deficit, or zeros where the caller screened it already.
     """
     finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
     deficit_finite = np.isfinite(deficit).all(axis=(-2, -1))
     _require_finite(np.concatenate([finite, deficit_finite[..., None]], axis=-1), labels)
     rank1 = c * np.sum(np.abs(v) ** 2, axis=-1)
-    if deficit_low is None:
-        deficit_low = _lowest_eigenvalues(deficit, atol)
-    _require_psd(np.concatenate([rank1, deficit_low[..., None]], axis=-1), labels, atol)
-    _require_complete(_rank1_sum(c, v) + deficit, atol)
+    _require_psd(np.concatenate([rank1, deficit_low[..., None]], axis=-1), labels, TP_ATOL)
+    _require_complete(_rank1_sum(c, v) + deficit, TP_ATOL)
 
 
 def _rank1_sum(c: np.ndarray, v: np.ndarray) -> np.ndarray:

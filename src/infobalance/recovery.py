@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DuplicateLabel, InvalidInstrument, MissingOutcome,
-                     ZeroProbabilityOutcome)
+from .errors import (BadDistribution, DimensionMismatch, DuplicateLabel, InvalidInstrument,
+                     MissingOutcome, ZeroProbabilityOutcome)
 from .measures import _analysis, binary_entropy, disturbance
 from .objects import PROB_EPS, Instrument
 from .tensors import LabeledState, SUPPORT_CUTOFF, _hermitian, _on_support
@@ -156,6 +156,8 @@ def fano_bound_check(instr: Instrument, rho: LabeledState, family: RecoveryFamil
     """
     if delta is None:
         delta = disturbance(instr, rho)
+    elif not np.isfinite(delta):
+        raise BadDistribution(f"disturbance {delta!r} is not finite")
     fidelity = corrected_fidelity(instr, rho, family)
     x = min(max(1.0 - fidelity, 0.0), 1.0)
     d = instr.d_in

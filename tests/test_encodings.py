@@ -313,7 +313,7 @@ class TestFactoredEngine:
         children = np.random.SeedSequence(seed).spawn(5)
         c, v, deficit = trial_factors(seed, 5, inp.r_dim)
         labels = tuple(str(i) for i in range(inp.r_dim + 2))
-        ib.objects._check_factored_povm(c, v, deficit, labels)
+        ib.objects._check_factored_povm(c, v, deficit, ib.objects._lowest_eigenvalues(deficit, ib.objects.TP_ATOL), labels)
         tables = ib.encodings._factored_joint(inp, c, v, deficit, instr.povm_elements)
         for child, table in zip(children, tables):
             povm = ib.random_reference_povm(np.random.default_rng(child), inp.r_dim)
@@ -340,7 +340,7 @@ class TestFactoredEngine:
         with pytest.raises(ib.InvalidPovm, match=message) as dense:
             ib.objects._check_povm_stack(expanded(*factors), labels)
         with pytest.raises(ib.InvalidPovm, match=message) as factored:
-            ib.objects._check_factored_povm(*factors, labels)
+            ib.objects._check_factored_povm(*factors, ib.objects._lowest_eigenvalues(factors[2], ib.objects.TP_ATOL), labels)
         assert str(factored.value) == str(dense.value)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -549,6 +550,30 @@ class TestRouteIndependence:
         for label in instr.outcome_labels:
             iota_m, delta_m, noise_m = ib.single_outcome_quantities(instr, rho, label)
             assert abs(iota_m + noise_m - delta_m) == pytest.approx(1e-6, abs=1e-9)
+
+
+class TestKernelContract:
+    """A matrix given a norm of 0 reads exactly 0 in both kernels, without
+    an error or a warning, and leaves the other rows' values unchanged."""
+
+    @pytest.mark.parametrize("kernel", ["_state_entropies", "_schmidt_entropies"])
+    def test_zero_norm_reads_zero(self, kernel):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 3, 4)) + 1j * rng.standard_normal((3, 3, 4))
+        if kernel == "_state_entropies":  # PSD matrices over their traces
+            a = a @ a.conj().swapaxes(1, 2)
+            norms = np.trace(a, axis1=1, axis2=2).real
+        else:  # amplitude matrices over their norms²
+            norms = np.sum(np.abs(a) ** 2, axis=(1, 2))
+        zero = np.zeros((2, *a.shape[1:]))
+        entropies = getattr(measures, kernel)
+        kept = entropies([a], norms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = entropies([zero, a], np.concatenate([np.zeros(2), norms]))
+        assert got[:2].tolist() == [0.0, 0.0] and not np.signbit(got[:2]).any()
+        np.testing.assert_array_equal(got[2:], kept)
+        assert (kept > 0.5).all()
 
 
 class TestNearTP:

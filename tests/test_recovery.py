@@ -216,6 +216,13 @@ class TestFanoBound:
         check = ib.fano_bound_check(instr, rho, ib.petz_family(instr, rho))
         assert check.holds
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_delta_is_a_domain_error(self, delta):
+        rho = qstate([0.5, 0.5])
+        family = ib.petz_family(ib.projective(), rho)
+        with pytest.raises(ib.BadDistribution, match=rf"^disturbance {delta!r} is not finite$"):
+            ib.fano_bound_check(ib.projective(), rho, family, delta=delta)
+
 
 def composite_kraus(instr, family):
     """Explicit Kraus list of sum_m R_m ∘ E_m over the outcomes the family covers."""
