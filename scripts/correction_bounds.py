@@ -54,10 +54,9 @@ def main() -> None:
         family = ib.petz_family(instr, rho)
         fano = ib.fano_bound_check(instr, rho, family, delta=eps)
         fid = fano.fidelity
-        b2 = 1.0 - 2.0 * np.sqrt(max(eps, 0.0))
-        b4 = 1.0 - 4.0 * np.sqrt(max(eps, 0.0))
-        met2 += fid >= b2
-        met4 += fid >= b4
+        b2, b4, meets2, meets4 = ib.correction_thresholds(eps, fid)
+        met2 += meets2
+        met4 += meets4
         print(f"{eps:12.3e} {fid:12.9f} {b2:12.6f} {b4:12.6f} "
               f"{fano.bound:12.6f} {'yes' if fano.holds else 'NO'}")
     print(f"\nmet 1-2*sqrt(eps): {met2}/{args.n}   met 1-4*sqrt(eps): {met4}/{args.n}")

@@ -95,6 +95,7 @@ from .measures import (
 from .recovery import (
     FanoCheck,
     RecoveryFamily,
+    correction_thresholds,
     corrected_fidelity,
     fano_bound_check,
     petz_family,

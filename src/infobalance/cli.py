@@ -24,7 +24,7 @@ from .errors import InfoBalanceError, ParseError
 from .families import DEFAULT_PARAMS, FAMILIES
 from .measures import balance_report, balance_reports
 from .objects import Instrument, purify, random_instrument, validate
-from .recovery import fano_bound_check, petz_family
+from .recovery import correction_thresholds, fano_bound_check, petz_family
 from .serialize import (
     dumps_instrument,
     dumps_json,
@@ -225,17 +225,14 @@ def cmd_recover(args) -> int:
     instr = _load_instrument(args.instrument)
     rho = _load_state(args.state, instr.d_in)
     fano = fano_bound_check(instr, rho, petz_family(instr, rho))
-    eps = max(fano.delta, 0.0)
-    bound2 = 1.0 - 2.0 * math.sqrt(eps)
-    bound4 = 1.0 - 4.0 * math.sqrt(eps)
-    meets4 = fano.fidelity >= bound4 - 1e-9
+    bound2, bound4, meets2, meets4 = correction_thresholds(fano.delta, fano.fidelity)
     doc = {
         "delta": fano.delta,
         "corrected_fidelity": fano.fidelity,
         "bound_2sqrt": bound2,
         "bound_4sqrt": bound4,
-        "meets_2sqrt": bool(fano.fidelity >= bound2 - 1e-9),
-        "meets_4sqrt": bool(meets4),
+        "meets_2sqrt": meets2,
+        "meets_4sqrt": meets4,
         "fano_bound": fano.bound,
         "fano_holds": bool(fano.holds),
     }

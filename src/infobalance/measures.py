@@ -48,10 +48,11 @@ from .objects import (
     Instrument,
     _check_input_state,
     _outcome_sums,
+    _runs,
     _validate_each,
     require_valid,
 )
-from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState
+from .tensors import _TRACE_ATOL, ENTROPY_CUTOFF, LabeledState, _clip_nonneg
 
 #: tolerance for agreement between independent computation routes
 ROUTE_ATOL = 1e-9
@@ -63,12 +64,6 @@ BALANCE_ATOL = 1e-9
 #: and its entropy, to first order, by 2||H||·log2 d: 4e-10 < ROUTE_ATOL at
 #: d = 256.  Random and family instruments measure tau <= 1.1e-15.
 _TP_EXACT = 1e-13
-
-
-def _clip_nonneg(x: float) -> float:
-    """Zero out round-off negatives; values below -1e-9 pass through untouched
-    so that genuine violations stay visible to callers and tests."""
-    return 0.0 if -1e-9 <= x < 0.0 else x
 
 
 def binary_entropy(x: float) -> float:
@@ -188,18 +183,6 @@ def _vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays as one ``(B, ...)`` array; a lone array as a view of it."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
-def _runs(mults: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """(first, end, multiplicity) of each run of consecutive outcomes that
-    share a multiplicity, so a run's Kraus operators are a slice."""
-    runs: list[tuple[int, int, int]] = []
-    for m, k in enumerate(mults):
-        if runs and runs[-1][1:] == (m, k):
-            runs[-1] = (runs[-1][0], m + 1, k)
-        else:
-            runs.append((m, m + 1, k))
-    return runs
 
 
 def _support(w: np.ndarray) -> int:
@@ -404,9 +387,10 @@ class _Group:
         """The balance report of pair k, after every route check; its sums over
         outcomes are Python float sums, outcome by outcome."""
         routes, _, probs, _ = self.tables[k]
-        for i in range(3):
-            if abs(routes[2 * i] - routes[2 * i + 1]) > ROUTE_ATOL:
-                raise _disagreement(i, *routes[2 * i : 2 * i + 2])
+        route_a, route_b = routes[0:6:2], routes[1:6:2]
+        for name, a, b in zip(_MEASURES, route_a, route_b):
+            if abs(a - b) > ROUTE_ATOL:
+                raise NumericalInconsistency(f"{name}: independent routes disagree, {a!r} vs {b!r}")
         rows, sums, excluded, worst = [], [0.0, 0.0, 0.0], 0.0, 0.0
         for m, (label, p) in enumerate(zip(self.labels[k], probs)):
             if p <= PROB_EPS:
@@ -416,13 +400,13 @@ class _Group:
             rows.append(OutcomeBalance(label, p, *values))
             sums = [total + p * value for total, value in zip(sums, values)]
             worst = max(worst, abs(iota_m + noise_m - delta_m))
-        iota, delta, noise = route_a = routes[0:6:2]
+        iota, delta, noise = route_a
         residual = abs(iota + noise - delta)
         if residual > BALANCE_ATOL:
             raise NumericalInconsistency(
                 f"balance identity violated: |iota + noise - delta| = {residual:.3e}"
             )
-        gaps = [abs(a - b) for a, b in zip(route_a, routes[1:6:2])]
+        gaps = [abs(a - b) for a, b in zip(route_a, route_b)]
         gaps += [abs(total - a) for total, a in zip(sums, route_a)] + [worst]
         return BalanceReport(iota, delta, noise, routes[6], tuple(rows), residual,
                              dict(zip(_RESIDUALS, gaps)), excluded)
@@ -453,31 +437,21 @@ _RESIDUALS = ("iota_routes", "delta_routes", "noise_routes", "iota_aggregation",
               "delta_aggregation", "noise_aggregation", "single_outcome_balance")
 
 
-def _disagreement(i: int, a: float, b: float) -> NumericalInconsistency:
-    return NumericalInconsistency(f"{_MEASURES[i]}: independent routes disagree, {a!r} vs {b!r}")
-
-
-def _route(instr: Instrument, rho: LabeledState, i: int) -> float:
-    """Route a of measure ``i`` of the pair, once both routes agree."""
-    a, b = _analysis(instr, rho).tables[0][0][2 * i : 2 * i + 2]
-    if abs(a - b) > ROUTE_ATOL:
-        raise _disagreement(i, a, b)
-    return a
-
-
 def information_gain(instr: Instrument, rho: LabeledState) -> float:
-    """Information gain iota in bits.
+    """Information gain iota in bits: the ``iota`` of :func:`balance_report`,
+    so it raises as the report does if any cross-check fails.
 
     Computed both from the Schmidt spectra of the per-outcome purifications
     and as the chi quantity of the POVM-induced reference ensemble; the two
     must agree within 1e-9.  Depends on the instrument only through its POVM.
     """
-    return _route(instr, rho, 0)
+    return balance_report(instr, rho).iota
 
 
 def disturbance(instr: Instrument, rho: LabeledState) -> float:
-    """Disturbance delta in bits, with the outcome register kept."""
-    return _route(instr, rho, 1)
+    """Disturbance delta in bits, with the outcome register kept: the
+    ``delta`` of :func:`balance_report`, raising as the report does."""
+    return balance_report(instr, rho).delta
 
 
 def disturbance_no_outcomes(instr: Instrument, rho: LabeledState) -> float:
@@ -488,17 +462,19 @@ def disturbance_no_outcomes(instr: Instrument, rho: LabeledState) -> float:
 
 def noise_delta(instr: Instrument, rho: LabeledState) -> float:
     """Missing information Delta = I(R:App|X) in bits; zero iff every outcome
-    leaves reference and apparatus in a product state."""
-    return _route(instr, rho, 2)
+    leaves reference and apparatus in a product state.  The ``noise`` of
+    :func:`balance_report`, raising as the report does."""
+    return balance_report(instr, rho).noise
 
 
 def groenewold_gain(instr: Instrument, rho: LabeledState) -> float:
-    """Average posterior-entropy gain S(rho) - sum_m p(m) S(rho_m').
+    """Average posterior-entropy gain S(rho) - sum_m p(m) S(rho_m'): the
+    ``iota_g`` of :func:`balance_report`, raising as the report does.
 
     Unlike the information gain this depends on the particular state
     reduction maps and can be negative.
     """
-    return _analysis(instr, rho).tables[0][0][6]
+    return balance_report(instr, rho).iota_g
 
 
 def single_outcome_quantities(

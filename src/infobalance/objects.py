@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -239,22 +238,33 @@ def _numeric_report(instr: Instrument, tp_deviation: float, excess: list) -> Val
     return ValidationReport(not issues, tp_deviation, True, outcome_excess, tuple(issues))
 
 
+def _runs(mults) -> list[tuple[int, int, int]]:
+    """(first, end, multiplicity) of each run of consecutive outcomes that
+    share a multiplicity, so a run's Kraus operators are a slice."""
+    runs: list[tuple[int, int, int]] = []
+    for m, k in enumerate(mults):
+        if runs and runs[-1][1:] == (m, k):
+            runs[-1] = (runs[-1][0], m + 1, k)
+        else:
+            runs.append((m, m + 1, k))
+    return runs
+
+
 def _outcome_sums(products: np.ndarray, mults) -> np.ndarray:
     """Per outcome the sum ``(B, n, ...)`` of the products ``(B, K, ...)`` of
     its Kraus operators, for outcomes of multiplicities ``mults``: added to
     zero in Kraus order, as :meth:`OutcomeMap.apply` and
     :meth:`OutcomeMap.povm_element` add them, one pass per Kraus index over
-    each run of outcomes of one multiplicity."""
+    each run of outcomes of one multiplicity (:func:`_runs`)."""
     B, rest = len(products), products.shape[2:]
     sums, start = [], 0
-    for k, run in groupby(mults):
-        n = len(list(run))
-        x = products[:, start : start + n * k].reshape(B, n, k, *rest)
+    for a, b, k in _runs(mults):
+        x = products[:, start : start + (b - a) * k].reshape(B, b - a, k, *rest)
         total = x[:, :, 0] + 0.0  # bit for bit 0.0 + x
         for j in range(1, k):
             total += x[:, :, j]
         sums.append(total)
-        start += n * k
+        start += (b - a) * k
     return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 

@@ -16,6 +16,7 @@ the disturbance by a function of 1 - F.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,22 +63,22 @@ def _posteriors(group) -> tuple[np.ndarray, list[float]]:
 def _transpose_channels(group, pick, sigmas, probs) -> tuple[list[tuple], list[bool]]:
     """The Kraus list of each outcome of ``pick`` and whether it is completed:
     its transpose channel, completed by re-preparing rho on the kernel of
-    E_m(rho), or only that re-preparation on the whole output where p_m ~ 0."""
+    E_m(rho), or only that re-preparation on the whole output where p_m ~ 0.
+    Every outcome goes through one stacked ``eigh``; one of p_m ~ 0 is then
+    given eigenvalues 0 and the standard basis, so its kernel is the output."""
     (w, v), blocks, kraus = group.rho_eighs[0], group.blocks, group.kraus[0]
     keep = w > PROB_EPS  # rho is re-prepared from the eigenvalues above PROB_EPS
     sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
     ks = [blocks[m][1] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
-    live = [m for m, k in zip(pick, ks) if k]  # never empty: the p_m sum to 1
-    w, v = np.linalg.eigh(_hermitian(sigmas[live]))
+    w, v = np.linalg.eigh(_hermitian(sigmas[list(pick)]))
+    onto = v.conj().swapaxes(1, 2)  # rows k_j† of the bases
+    if 0 in ks:  # most pairs have no such outcome, and masked writes cost more than the test
+        dead = np.equal(ks, 0)
+        w[dead], onto[dead] = 0.0, np.eye(sigmas.shape[1])
     inv_sqrt = _on_support(w, v, lambda x: x ** -0.5)
-    rows = [blocks[m][0] + i for m in live for i in range(blocks[m][1])]
-    recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2)
-                    @ inv_sqrt.repeat([k for k in ks if k], axis=0))
-    onto, kernel = v.conj().swapaxes(1, 2), w <= SUPPORT_CUTOFF  # rows k_j† of the bases
-    if len(live) < len(pick):
-        at = [i - j for j, i in enumerate(i for i, k in enumerate(ks) if not k)]
-        onto = np.insert(onto, at, np.eye(sigmas.shape[1]), 0)
-        kernel = np.insert(kernel, at, True, 0)
+    rows = [blocks[m][0] + i for m, k in zip(pick, ks) for i in range(k)]
+    recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2) @ inv_sqrt.repeat(ks, axis=0))
+    kernel = w <= SUPPORT_CUTOFF
     onto = onto[kernel]
     reprepare = vectors.T[:, None, :, None] * onto[None, :, None, :]  # sqrt(w_i) v_i k_j† of
     np.multiply(roots[:, None, None, None], reprepare, out=reprepare)  # root i and basis row j
@@ -134,6 +135,15 @@ def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFam
         amps = recovery.reshape(-1, e_rho_t.shape[1]) @ e_rho_t.T
         total += float((np.abs(amps) ** 2).sum())
     return total
+
+
+def correction_thresholds(delta: float, fidelity: float) -> tuple[float, float, bool, bool]:
+    """The corrected-fidelity thresholds 1 - 2*sqrt(delta) (optimal family)
+    and 1 - 4*sqrt(delta) (transpose channel), a negative delta read as 0,
+    and whether ``fidelity`` meets each within a slack of 1e-9."""
+    root = math.sqrt(max(delta, 0.0))
+    bound2, bound4 = 1.0 - 2.0 * root, 1.0 - 4.0 * root
+    return bound2, bound4, fidelity >= bound2 - 1e-9, fidelity >= bound4 - 1e-9
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,12 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _clip_nonneg(x: float) -> float:
+    """Zero out round-off negatives and -0.0; values below -1e-9 pass through
+    untouched so that genuine violations stay visible to callers and tests."""
+    return 0.0 if -1e-9 <= x < 0.0 else x + 0.0
+
+
 def _square_complex(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -111,7 +117,7 @@ class LabeledState:
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             if herm_dev > _HERM_ATOL:
                 raise InvalidState(f"not Hermitian: max |M - M†| = {herm_dev:.3e}")
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian(m)
         if validate:
             eigs = np.linalg.eigvalsh(m)
             if float(eigs[0]) < -_PSD_ATOL:
@@ -214,13 +220,9 @@ def eig_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def entropy_bits(matrix) -> float:
     """Von Neumann entropy in bits of a (sub)normalized PSD matrix."""
-    m = _square_complex(matrix)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(_hermitian(_square_complex(matrix)))
     w = w[w > ENTROPY_CUTOFF]
-    if w.size == 0:
-        return 0.0
-    s = float(-np.sum(w * np.log2(w)))
-    return 0.0 if -1e-9 <= s < 0.0 else s
+    return _clip_nonneg(float(-np.sum(w * np.log2(w))))
 
 
 def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -88,6 +89,17 @@ def perturbed_reversible(rng, d, n_out, target_eps, second_kraus=False):
         # disturbance scales ~ eta^2 for this family
         eta = min(eta * np.sqrt(target_eps / eps), eta_max)
     raise AssertionError("calibration failed to land disturbance in window")
+
+
+def fano_under_threshold(factor, below=5e-10):
+    """A stand-in for ``fano_bound_check`` whose fidelity lies ``below`` under
+    the threshold 1 - factor*sqrt(delta) and whose Fano check holds."""
+    def check(instr, rho, family, *, delta=None):
+        if delta is None:
+            delta = ib.disturbance(instr, rho)
+        threshold = 1.0 - factor * math.sqrt(max(delta, 0.0))
+        return ib.FanoCheck(delta, threshold - below, 0.0, True)
+    return check
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 import infobalance as ib
 from infobalance import cli
 from infobalance.cli import main
-from conftest import qstate
+from conftest import fano_under_threshold, qstate
 
 
 def run(capsys, *argv):
@@ -374,6 +374,14 @@ class TestRecover:
         assert doc["fano_bound"] == pytest.approx(fano, abs=1e-12)
         assert doc["bound_2sqrt"] == pytest.approx(1.0 - 2.0 * math.sqrt(delta), abs=1e-12)
         assert doc["meets_4sqrt"] and doc["meets_2sqrt"] and doc["fano_holds"]
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_fidelity_within_the_slack_meets_its_threshold(self, capsys, monkeypatch, factor):
+        monkeypatch.setattr(cli, "fano_bound_check", fano_under_threshold(factor))
+        code, out, _ = run(capsys, "recover", "family:filter", "--format", "json", "--quiet")
+        doc = json.loads(out)
+        assert doc["corrected_fidelity"] == doc[f"bound_{factor}sqrt"] - 5e-10
+        assert doc[f"meets_{factor}sqrt"] is True and doc["meets_4sqrt"] is True and code == 0
 
 
 class TestRandom:

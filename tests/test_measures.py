@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 import sys
 import threading
 import warnings
@@ -545,8 +547,12 @@ class TestRouteIndependence:
         monkeypatch.setattr(measures, kernel, lambda *args: exact(*args) + 1e-6)
         # the pair's analysis is kept; compute afresh through the patched kernel
         measures._analysis.cache_clear()
-        with pytest.raises(ib.NumericalInconsistency):
+        with pytest.raises(ib.NumericalInconsistency) as info:
             ib.balance_report(instr, rho)
+        # a scalar is its report's field, so it fails whichever check the report fails
+        for scalar in (ib.information_gain, ib.disturbance, ib.noise_delta, ib.groenewold_gain):
+            with pytest.raises(ib.NumericalInconsistency, match=f"^{re.escape(str(info.value))}$"):
+                scalar(instr, rho)
         for label in instr.outcome_labels:
             iota_m, delta_m, noise_m = ib.single_outcome_quantities(instr, rho, label)
             assert abs(iota_m + noise_m - delta_m) == pytest.approx(1e-6, abs=1e-9)
@@ -752,6 +758,18 @@ ENTRY_POINTS = {
 }
 
 
+def memo_pairs(seed):
+    """Four pairs of one input dimension: one instrument with two states, a
+    second instrument, and an equal copy of the first."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    instr = ib.random_instrument(int(rng.integers(2**32)), d, 3, 2, 2)
+    rho1, rho2 = random_state(rng, d), random_state(rng, d, rank=1)
+    return [(instr, rho1), (instr, rho2),
+            (ib.random_instrument(int(rng.integers(2**32)), d, 3, 3, 1), rho1),
+            (dataclasses.replace(instr), rho1)]
+
+
 class TestPairMemo:
     """The engine keeps the last pair's analysis; whatever the order of
     calls, every result is bit for bit that of a cold call."""
@@ -762,17 +780,20 @@ class TestPairMemo:
                  min_size=1, max_size=12),
     )
     def test_interleaved_calls_equal_cold_calls(self, seed, calls):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 5))
-        instr = ib.random_instrument(int(rng.integers(2**32)), d, 3, 2, 2)
-        rho1, rho2 = random_state(rng, d), random_state(rng, d, rank=1)
-        pairs = [(instr, rho1), (instr, rho2),
-                 (ib.random_instrument(int(rng.integers(2**32)), d, 3, 3, 1), rho1),
-                 (dataclasses.replace(instr), rho1)]
+        pairs = memo_pairs(seed)
         warm = [_bits(ENTRY_POINTS[name](*pairs[p])) for p, name in calls]
         for (p, name), got in zip(calls, warm):
             measures._analysis.cache_clear()
             assert got == _bits(ENTRY_POINTS[name](*pairs[p])), (p, name)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_scalars_are_report_fields(self, seed):
+        for pair in memo_pairs(seed):
+            measures._analysis.cache_clear()
+            report = ib.balance_report(*pair)
+            measures._analysis.cache_clear()
+            assert _bits(ENTRY_POINTS["scalars"](*pair)) == _bits(
+                [report.iota, report.delta, report.noise, report.iota_g])
 
     def test_threads_sharing_the_memo_get_cold_results(self):
         rng = np.random.default_rng(21)
@@ -1008,6 +1029,23 @@ def faulty(instr, fault):
 
 class TestGroups:
     """Pairs of one signature are analysed and validated as one stack."""
+
+    def test_no_report_value_is_negative_zero(self):
+        # a pure posterior's state-side entropies can cancel to -0.0, which the clip drops
+        def negative_zeros(x):
+            if isinstance(x, dict):
+                return sum(map(negative_zeros, x.values()))
+            if isinstance(x, list):
+                return sum(map(negative_zeros, x))
+            return x == 0.0 and math.copysign(1.0, x) < 0.0
+
+        found, rows = [], 0
+        for seed in range(400):
+            for k, report in enumerate(ib.balance_reports(group_pairs(np.random.default_rng(seed)))):
+                doc = report.to_dict()
+                rows += len(doc["per_outcome"])
+                found += [(seed, k)] * negative_zeros(doc)
+        assert rows == 5041 and found == []
 
     @given(st.integers(0, 2**32 - 1))
     def test_group_reports_equal_cold_reports(self, seed):

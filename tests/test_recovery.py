@@ -216,6 +216,16 @@ class TestFanoBound:
         check = ib.fano_bound_check(instr, rho, ib.petz_family(instr, rho))
         assert check.holds
 
+    @pytest.mark.parametrize("delta, fidelity, expected", [
+        (0.0625, 0.5 - 5e-10, (0.5, 0.0, True, True)),
+        (0.0625, 0.5 - 2e-9, (0.5, 0.0, False, True)),
+        (0.0625, -5e-10, (0.5, 0.0, False, True)),
+        (0.0625, -2e-9, (0.5, 0.0, False, False)),
+        (-1e-12, 1.0, (1.0, 1.0, True, True)),
+    ])
+    def test_correction_thresholds(self, delta, fidelity, expected):
+        assert ib.correction_thresholds(delta, fidelity) == expected
+
     @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_delta_is_a_domain_error(self, delta):
         rho = qstate([0.5, 0.5])

@@ -4,8 +4,11 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 import infobalance as ib
 from infobalance.cli import CSV_HEADER
+from conftest import fano_under_threshold
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -43,3 +46,10 @@ def test_correction_bounds(monkeypatch, capsys):
     assert lines[0].split() == ["eps", "fidelity", "1-2sqrt", "1-4sqrt", "fano_bound", "ok"]
     assert len(lines) == 1 + 3 + 2
     assert lines[-1].startswith("met 1-2*sqrt(eps): ") and lines[-1].endswith("/3")
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_correction_bounds_count_a_fidelity_within_the_slack(monkeypatch, capsys, factor):
+    monkeypatch.setattr(ib, "fano_bound_check", fano_under_threshold(factor))
+    assert run_script(monkeypatch, "correction_bounds.py", "--n", "3") in (0, None)
+    assert f"met 1-{factor}*sqrt(eps): 3/3" in capsys.readouterr().out.splitlines()[-1]

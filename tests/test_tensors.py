@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import re
 
@@ -237,6 +238,18 @@ class TestEntropy:
         got = ib.von_neumann_entropy(labeled([("Q", 2)], np.diag([0.9, 0.1])))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.46900, abs=1e-4)
+
+    @pytest.mark.parametrize("matrix", [np.diag([1.0, 0.0]), np.zeros((2, 2))],
+                             ids=["pure", "zero"])
+    def test_entropy_bits_of_no_entropy_is_positive_zero(self, matrix):
+        s = ib.entropy_bits(matrix)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
+
+    @pytest.mark.parametrize("x, expected", [(-0.0, 0.0), (-5e-10, 0.0), (0.0, 0.0),
+                                             (0.25, 0.25), (-2e-9, -2e-9)])
+    def test_clip_nonneg(self, x, expected):
+        got = ib.tensors._clip_nonneg(x)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestFuncOnSupport:
