@@ -214,7 +214,7 @@ def cmd_sweep(args) -> int:
     # each instrument is built as the batch takes its pair, so errors come in grid order
     reports = balance_reports((instr, rho) for instr in instruments)
     rows = [
-        (format(t, ".17g"), _in_units(report.to_dict(), args.nats))
+        (format(t, ".17g"), _in_units({k: getattr(report, k) for k in CSV_HEADER[1:]}, args.nats))
         for t, report in zip(grid, reports)
     ]
     _write_out(args, _csv(rows), f"{len(rows)} rows")

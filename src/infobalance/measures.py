@@ -218,9 +218,8 @@ class _Group:
 
     def __init__(self, pairs: list[tuple[Instrument, LabeledState]], eighs=None) -> None:
         self.exact = np.array([i.validation_report.tp_deviation <= _TP_EXACT for i, _ in pairs])
-        self.mults = tuple(len(om.kraus) for om in pairs[0][0].outcomes)
+        self.mults = tuple(om.multiplicity for om in pairs[0][0].outcomes)
         self.starts = list(accumulate(self.mults, initial=0))
-        self.blocks = list(zip(self.starts, self.mults))  # (start, multiplicity) per outcome
         self.labels = [instr.outcome_labels for instr, _ in pairs]
         self.kraus = _stacked([instr.kraus_stack for instr, _ in pairs])
         self.elements = _stacked([instr.povm_elements for instr, _ in pairs])
@@ -354,7 +353,8 @@ class _Group:
         """Disturbance of the outcome-averaged channel of each pair."""
         B = len(self.rho)
         s = _state_entropies([self.posteriors.sum(axis=1), self.exchange], np.ones(2 * B))
-        return [a - b + c for a, b, c in zip(self.s_input.tolist(), s[:B].tolist(), s[B:].tolist())]
+        return [_clip_nonneg(a - b + c)
+                for a, b, c in zip(self.s_input.tolist(), s[:B].tolist(), s[B:].tolist())]
 
     @_lazy
     def tables(self) -> list[tuple]:

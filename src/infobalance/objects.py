@@ -180,8 +180,6 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
             if not good:
                 reports[i] = _malformed(instrs[i])
         idx = [i for i, good in zip(idx, ok) if good]
-        if not idx:
-            continue
         stack = _read_only(stack if all(ok) else stack[ok])
         elements = _read_only(_outcome_sums(stack.conj().swapaxes(2, 3) @ stack, mults))
         # summed in outcome order: as adding to zero, up to the sign of zeros
@@ -496,13 +494,6 @@ def random_instrument(
             f"d_out*n_outcomes*multiplicity = {d_out * n_outcomes * multiplicity} "
             f"< d_in = {d_in}"
         )
-    rng = np.random.default_rng(rng_seed)
-    v = haar_isometry(rng, d_out * n_outcomes * multiplicity, d_in)
-    outcomes = []
-    for m in range(n_outcomes):
-        kraus = []
-        for k in range(multiplicity):
-            b = m * multiplicity + k
-            kraus.append(v[b * d_out : (b + 1) * d_out, :])
-        outcomes.append(OutcomeMap(str(m), tuple(kraus)))
-    return Instrument(d_in, d_out, tuple(outcomes))
+    v = haar_isometry(np.random.default_rng(rng_seed), d_out * n_outcomes * multiplicity, d_in)
+    blocks = v.reshape(n_outcomes, multiplicity, d_out, d_in)  # outcome m, Kraus k: block m*mult+k
+    return Instrument(d_in, d_out, [OutcomeMap(str(m), tuple(b)) for m, b in enumerate(blocks)])

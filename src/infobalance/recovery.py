@@ -60,23 +60,24 @@ def _posteriors(group) -> tuple[np.ndarray, list[float]]:
     return sigmas, sigmas.trace(axis1=1, axis2=2).real.tolist()
 
 
-def _transpose_channels(group, pick, sigmas, probs) -> tuple[list[tuple], list[bool]]:
+def _transpose_channels(group, pick) -> tuple[list[tuple], list[bool]]:
     """The Kraus list of each outcome of ``pick`` and whether it is completed:
     its transpose channel, completed by re-preparing rho on the kernel of
     E_m(rho), or only that re-preparation on the whole output where p_m ~ 0.
     Every outcome goes through one stacked ``eigh``; one of p_m ~ 0 is then
     given eigenvalues 0 and the standard basis, so its kernel is the output."""
-    (w, v), blocks, kraus = group.rho_eighs[0], group.blocks, group.kraus[0]
+    (w, v), kraus, starts = group.rho_eighs[0], group.kraus[0], group.starts
+    sigmas, probs = _posteriors(group)
     keep = w > PROB_EPS  # rho is re-prepared from the eigenvalues above PROB_EPS
     sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
-    ks = [blocks[m][1] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
+    ks = [group.mults[m] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
     w, v = np.linalg.eigh(_hermitian(sigmas[list(pick)]))
     onto = v.conj().swapaxes(1, 2)  # rows k_j† of the bases
     if 0 in ks:  # most pairs have no such outcome, and masked writes cost more than the test
         dead = np.equal(ks, 0)
         w[dead], onto[dead] = 0.0, np.eye(sigmas.shape[1])
     inv_sqrt = _on_support(w, v, lambda x: x ** -0.5)
-    rows = [blocks[m][0] + i for m, k in zip(pick, ks) for i in range(k)]
+    rows = [starts[m] + i for m, k in zip(pick, ks) for i in range(k)]
     recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2) @ inv_sqrt.repeat(ks, axis=0))
     kernel = w <= SUPPORT_CUTOFF
     onto = onto[kernel]
@@ -95,31 +96,28 @@ def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[n
     """Transpose-channel recovery for one outcome, completed to trace
     preservation by re-preparing ``rho`` on the kernel of E_m(rho)."""
     group, m = _analysis(instr, rho), instr.outcome_index(outcome)
-    sigmas, probs = _posteriors(group)
-    if not probs[m] > PROB_EPS:
-        raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {probs[m]:.3e}")
-    return _transpose_channels(group, [m], sigmas, probs)[0][0]
+    if not (p := _posteriors(group)[1][m]) > PROB_EPS:
+        raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
+    return _transpose_channels(group, [m])[0][0]
 
 
 def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     """Transpose-channel family covering every outcome; an outcome of
     probability ~0 re-prepares rho, so the composite stays trace preserving."""
-    group = _analysis(instr, rho)
-    channels, flags = _transpose_channels(group, range(instr.n_outcomes), *_posteriors(group))
+    channels, flags = _transpose_channels(_analysis(instr, rho), range(instr.n_outcomes))
     return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))
 
 
 def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFamily) -> float:
     """Entanglement fidelity of the composite channel sum_m R_m ∘ E_m, read
     as sum over R in R_m, E in E_m of |Tr(rho R E)|²."""
-    group, total, probs, shape = _analysis(instr, rho), 0.0, None, (instr.d_in, instr.d_out)
+    group, total, shape = _analysis(instr, rho), 0.0, (instr.d_in, instr.d_out)
     mapped = group.mapped[0]
-    for m, (om, (start, k)) in enumerate(zip(instr.outcomes, group.blocks)):
+    for m, (om, start, k) in enumerate(zip(instr.outcomes, group.starts, group.mults)):
         if om.label not in family.outcome_labels:
-            probs = probs or _posteriors(group)[1]
-            if probs[m] > PROB_EPS:
+            if (p := _posteriors(group)[1][m]) > PROB_EPS:
                 raise MissingOutcome(f"recovery family misses outcome {om.label!r} "
-                                     f"with p = {probs[m]:.3e}")
+                                     f"with p = {p:.3e}")
             continue
         try:
             recovery = np.asarray(family.channel(om.label), dtype=complex)

@@ -103,7 +103,7 @@ class LabeledState:
         names = [lab.name for lab in labels]
         if len(set(names)) != len(names):
             raise DuplicateLabel(f"duplicate subsystem names in {names}")
-        m = _square_complex(matrix).copy()
+        m = _square_complex(matrix)
         dim = 1
         for lab in labels:
             dim *= lab.dim
@@ -113,7 +113,7 @@ class LabeledState:
             )
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise InvalidState("state matrix contains NaN or Inf entries")
-        if validate and m.size:
+        if validate:
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             if herm_dev > _HERM_ATOL:
                 raise InvalidState(f"not Hermitian: max |M - M†| = {herm_dev:.3e}")

@@ -56,33 +56,30 @@ def _draw_dims(rng, big):
 
 @pytest.fixture(scope="session")
 def random_sweep():
-    records = []
+    pairs = []
     for i, ss in enumerate(np.random.SeedSequence(20260810).spawn(N_INSTRUMENTS)):
         rng = np.random.default_rng(ss)
         d_in, d_out, n, mult = _draw_dims(rng, big=(i % 50 == 0))
         instr = ib.random_instrument(int(rng.integers(2**63)), d_in, d_out, n, mult)
-        single_kraus = instr.max_multiplicity == 1
         for j in range(STATES_PER_INSTRUMENT):
             rank = d_in if j < 4 else int(rng.integers(1, d_in + 1))
-            rho = random_state(rng, d_in, rank=rank)
-            rep = ib.balance_report(instr, rho)
-            dno = ib.disturbance_no_outcomes(instr, rho)
-            fano = ib.fano_bound_check(
-                instr, rho, ib.petz_family(instr, rho), delta=rep.delta
+            pairs.append((instr, random_state(rng, d_in, rank=rank)))
+    records = []
+    for (instr, rho), rep in zip(pairs, ib.balance_reports(pairs)):
+        fano = ib.fano_bound_check(instr, rho, ib.petz_family(instr, rho), delta=rep.delta)
+        records.append(
+            SweepRecord(
+                single_kraus=instr.max_multiplicity == 1,
+                iota=rep.iota,
+                delta=rep.delta,
+                noise=rep.noise,
+                iota_g=rep.iota_g,
+                residual_balance=rep.residual_balance,
+                noise_route_residual=rep.residual_routes["noise_routes"],
+                dno=ib.disturbance_no_outcomes(instr, rho),
+                fano_holds=fano.holds,
             )
-            records.append(
-                SweepRecord(
-                    single_kraus=single_kraus,
-                    iota=rep.iota,
-                    delta=rep.delta,
-                    noise=rep.noise,
-                    iota_g=rep.iota_g,
-                    residual_balance=rep.residual_balance,
-                    noise_route_residual=rep.residual_routes["noise_routes"],
-                    dno=dno,
-                    fano_holds=fano.holds,
-                )
-            )
+        )
     assert len(records) == N_INSTRUMENTS * STATES_PER_INSTRUMENT
     return records
 

@@ -312,6 +312,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--family", "filter", "--grid", "0.5,2", "--quiet")
         assert (code, err) == (1, "error: filter parameter 2.0 outside [0, 1]\n")
 
+    @pytest.mark.parametrize("family", ["depolarizing", "filter"])
+    @pytest.mark.parametrize("units", [[], ["--nats"]])
+    def test_rows_take_only_the_printed_fields(self, capsys, monkeypatch, family, units):
+        # a row reads the five CSV fields of its report, not the per-outcome
+        # rows of a report document the CSV never prints
+        argv = ["sweep", "--family", family, "--points", "9", "--quiet", *units]
+        _, expected, _ = run(capsys, *argv)
+
+        def refuse(report):
+            raise AssertionError("sweep built a report document")
+
+        monkeypatch.setattr(ib.BalanceReport, "to_dict", refuse)
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_deterministic_bytes(self, capsys):
         _, a, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")
         _, b, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")

@@ -225,6 +225,15 @@ class TestDisturbanceNoOutcomes:
         rho = random_state(rng, 2)
         assert ib.disturbance_no_outcomes(instr, rho) >= ib.disturbance(instr, rho) - 1e-9
 
+    def test_pure_input_reads_nonnegative(self):
+        # on a pure state the outcome-averaged channel's disturbance is a sum of
+        # entropies that cancel to round-off, of either sign before clipping
+        for seed in range(400):
+            instr = ib.random_instrument(seed, 2, 2, 2, 1)
+            rho = random_state(np.random.default_rng(seed), 2, rank=1)
+            dno = ib.disturbance_no_outcomes(instr, rho)
+            assert dno >= 0.0 and math.copysign(1.0, dno) == 1.0, (seed, dno)
+
 
 class TestNoiseDelta:
     def test_single_kraus_vanishes(self):

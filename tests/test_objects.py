@@ -318,6 +318,17 @@ class TestRandomInstrument:
             for ka, kb in zip(oa.kraus, ob.kraus):
                 assert np.array_equal(ka, kb)
 
+    @pytest.mark.parametrize("seed, d_in, d_out, n, mult", [
+        (0, 2, 2, 2, 2), (3, 3, 2, 3, 2), (5, 4, 3, 2, 3), (9, 5, 1, 3, 2),
+    ])
+    def test_kraus_blocks_are_rows_of_the_isometry(self, seed, d_in, d_out, n, mult):
+        # Kraus operator k of outcome m is row block m*mult + k of one isometry
+        instr = ib.random_instrument(seed, d_in, d_out, n, mult)
+        v = ib.haar_isometry(np.random.default_rng(seed), d_out * n * mult, d_in)
+        assert np.array_equal(instr.kraus_stack.reshape(-1, d_in), v)
+        assert instr.outcome_labels == tuple(str(m) for m in range(n))
+        assert [om.multiplicity for om in instr.outcomes] == [mult] * n
+
     def test_dimension_too_small(self):
         with pytest.raises(ib.DimensionTooSmall):
             ib.random_instrument(0, 5, 2, 2, 1)
