@@ -185,10 +185,15 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+def _support_cut(w: np.ndarray) -> float:
+    """numpy's ``matrix_rank`` bound d·eps·w_max of a state whose ascending
+    eigenvalues are ``w``: its support, here and in the Petz map, lies above."""
+    return len(w) * np.finfo(float).eps * w[-1]
+
+
 def _support(w: np.ndarray) -> int:
-    """How many of the ascending eigenvalues ``w`` of a state exceed numpy's
-    ``matrix_rank`` bound d·eps·w_max: the rows of its purification."""
-    return int((w > len(w) * np.finfo(float).eps * w[-1]).sum())
+    """How many of ``w`` exceed :func:`_support_cut`: the rows of the purification."""
+    return int((w > _support_cut(w)).sum())
 
 
 class _Group:
@@ -196,7 +201,7 @@ class _Group:
     (d_in, d_out, r, multiplicities), by two routes.
 
     The purification sum_i sqrt(w_i) |i>_R |v_i>_Q runs over the r
-    eigenvalues above :func:`_support`'s bound, so R spans the support of
+    eigenvalues above :func:`_support_cut`, so R spans the support of
     rho.  Given outcome m the dilated state on [R, Qp, App] is pure, with
     amplitudes T_m[k, i, q] = (psi E_{m,k}^T)[i, q], and X is classical, so
     every quantity is a p_m-average of S(R|m), S(Qp|m) and S(App|m).  The
@@ -271,13 +276,8 @@ class _Group:
 
     @_lazy
     def probs(self) -> np.ndarray:
-        """p_m ``(B, n)``, the norm² of each outcome's amplitudes."""
-        t, starts = self.amplitudes, self.starts
-        probs = np.empty((len(t), len(self.mults)))
-        for a, b, _ in _runs(self.mults):
-            x = t[:, starts[a] : starts[b]].reshape(len(t), b - a, -1)
-            probs[:, a:b] = _vecdot(x, x).real
-        return probs
+        """p_m = Tr E_m(rho) ``(B, n)`` of ``posteriors``, bit for bit ``outcome_probability``."""
+        return self.posteriors.trace(axis1=2, axis2=3).real
 
     @_lazy
     def weights(self) -> np.ndarray:

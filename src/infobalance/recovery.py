@@ -4,9 +4,10 @@ For every outcome the transpose (Petz) channel
 ``sigma -> rho^{1/2} E† (E_m(rho))^{-1/2} sigma (E_m(rho))^{-1/2} E rho^{1/2}``
 is built, completed to trace preservation by sending the kernel of E_m(rho)
 to rho.  A family is built from the pair's analysis in
-:mod:`infobalance.measures` (its eigh of rho, products E_k rho and
-posteriors E_m(rho)) as stacks over the outcomes.  The corrected channel
-sum_m R_m ∘ E_m has entanglement fidelity
+:mod:`infobalance.measures` (its eigh of rho, products E_k rho, posteriors
+E_m(rho) and weights p_m) as stacks over the outcomes, on the purification's
+support of rho; each posterior's kernel follows from its eigh's backward error.
+The corrected channel sum_m R_m ∘ E_m has entanglement fidelity
 F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², one product per outcome;
 :func:`infobalance.dilation.entanglement_fidelity` is its reference.
 Disturbance <= eps guarantees F >= 1 - 4*sqrt(eps) for this family (the
@@ -23,9 +24,9 @@ import numpy as np
 
 from .errors import (BadDistribution, DimensionMismatch, DuplicateLabel, InvalidInstrument,
                      MissingOutcome, ZeroProbabilityOutcome)
-from .measures import _analysis, binary_entropy, disturbance
-from .objects import PROB_EPS, Instrument
-from .tensors import LabeledState, SUPPORT_CUTOFF, _hermitian, _on_support
+from .measures import _analysis, _support_cut, binary_entropy, disturbance
+from .objects import TP_ATOL, Instrument
+from .tensors import LabeledState, _hermitian, _on_support
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +55,6 @@ class RecoveryFamily:
         return self.channels[self.outcome_labels.index(label)]
 
 
-def _posteriors(group) -> tuple[np.ndarray, list[float]]:
-    """E_m(rho) ``(n, d_out, d_out)`` of the pair's outcomes, and their traces p_m."""
-    sigmas = group.posteriors[0]
-    return sigmas, sigmas.trace(axis1=1, axis2=2).real.tolist()
-
-
 def _transpose_channels(group, pick) -> tuple[list[tuple], list[bool]]:
     """The Kraus list of each outcome of ``pick`` and whether it is completed:
     its transpose channel, completed by re-preparing rho on the kernel of
@@ -67,19 +62,22 @@ def _transpose_channels(group, pick) -> tuple[list[tuple], list[bool]]:
     Every outcome goes through one stacked ``eigh``; one of p_m ~ 0 is then
     given eigenvalues 0 and the standard basis, so its kernel is the output."""
     (w, v), kraus, starts = group.rho_eighs[0], group.kraus[0], group.starts
-    sigmas, probs = _posteriors(group)
-    keep = w > PROB_EPS  # rho is re-prepared from the eigenvalues above PROB_EPS
-    sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
-    ks = [group.mults[m] if probs[m] > PROB_EPS else 0 for m in pick]  # recovery operators
+    sigmas, live, cut = group.posteriors[0], group.weights[0] > 0.0, _support_cut(w)
+    keep = w > cut  # sqrt(rho) and the re-preparation keep the purification's support
+    sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt, cut), np.sqrt(w[keep]), v[:, keep]
+    ks = [group.mults[m] if live[m] else 0 for m in pick]  # recovery operators
     w, v = np.linalg.eigh(_hermitian(sigmas[list(pick)]))
     onto = v.conj().swapaxes(1, 2)  # rows k_j† of the bases
     if 0 in ks:  # most pairs have no such outcome, and masked writes cost more than the test
         dead = np.equal(ks, 0)
         w[dead], onto[dead] = 0.0, np.eye(sigmas.shape[1])
-    inv_sqrt = _on_support(w, v, lambda x: x ** -0.5)
+    # the kernel: each x where eigh's backward error d_out·eps·lambda_max, scaled by 1/x
+    # through x^{-1/2}, would put the channel's TP error at TP_ATOL or more
+    cut = sigmas.shape[1] * np.finfo(float).eps * w[:, -1:] / TP_ATOL
+    inv_sqrt = _on_support(w, v, lambda x: x ** -0.5, cut)
     rows = [starts[m] + i for m, k in zip(pick, ks) for i in range(k)]
     recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2) @ inv_sqrt.repeat(ks, axis=0))
-    kernel = w <= SUPPORT_CUTOFF
+    kernel = w <= cut
     onto = onto[kernel]
     reprepare = vectors.T[:, None, :, None] * onto[None, :, None, :]  # sqrt(w_i) v_i k_j† of
     np.multiply(roots[:, None, None, None], reprepare, out=reprepare)  # root i and basis row j
@@ -96,7 +94,8 @@ def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[n
     """Transpose-channel recovery for one outcome, completed to trace
     preservation by re-preparing ``rho`` on the kernel of E_m(rho)."""
     group, m = _analysis(instr, rho), instr.outcome_index(outcome)
-    if not (p := _posteriors(group)[1][m]) > PROB_EPS:
+    if not group.weights[0, m] > 0.0:
+        p = group.probs[0, m]
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
     return _transpose_channels(group, [m])[0][0]
 
@@ -115,9 +114,9 @@ def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFam
     mapped = group.mapped[0]
     for m, (om, start, k) in enumerate(zip(instr.outcomes, group.starts, group.mults)):
         if om.label not in family.outcome_labels:
-            if (p := _posteriors(group)[1][m]) > PROB_EPS:
+            if group.weights[0, m] > 0.0:
                 raise MissingOutcome(f"recovery family misses outcome {om.label!r} "
-                                     f"with p = {p:.3e}")
+                                     f"with p = {group.probs[0, m]:.3e}")
             continue
         try:
             recovery = np.asarray(family.channel(om.label), dtype=complex)

@@ -26,10 +26,10 @@ from .errors import (
 )
 
 # Eigenvalues below ENTROPY_CUTOFF are treated as exact zeros when summing
-# entropies; SUPPORT_CUTOFF separates support from kernel for matrix
-# functions.  Both are sized to swallow round-off accumulated by repeated
-# Kronecker/trace passes at dimensions up to a few hundred while keeping
-# genuine rank structure intact.
+# entropies; SUPPORT_CUTOFF separates support from kernel in func_on_support
+# only (the engine and the Petz map derive their cuts).  Both are sized to
+# swallow round-off of repeated Kronecker/trace passes at dimensions up to a
+# few hundred while keeping genuine rank structure intact.
 ENTROPY_CUTOFF = 1e-12
 SUPPORT_CUTOFF = 1e-10
 
@@ -240,14 +240,14 @@ def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
     return _on_support(*np.linalg.eigh(_hermitian(m)), f)
 
 
-def _on_support(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
-    """``f`` of the matrix (or stack) whose ascending ``eigh`` is ``(w, v)``,
-    applied on the support; the kernel maps to zero."""
+def _on_support(w: np.ndarray, v: np.ndarray, f, cut=SUPPORT_CUTOFF) -> np.ndarray:
+    """``f`` of the matrix (or stack) whose ascending ``eigh`` is ``(w, v)``, on
+    the eigenvalues above ``cut`` (``(B, 1)`` for one per matrix); the kernel maps to zero."""
     low = w[..., :1].reshape(-1)
     if (low < -1e-8).any():
         raise NegativeEigenvalue(f"min eigenvalue {low[low < -1e-8][0]:.3e} below -1e-8")
     fw = np.zeros(w.shape)
-    mask = w > SUPPORT_CUTOFF
+    mask = w > cut
     if mask.any():
         fw[mask] = f(w[mask])
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)

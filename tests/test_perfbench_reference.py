@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infobalance as ib
@@ -40,3 +41,19 @@ def test_reference_table_replays(name, tmp_path, monkeypatch):
     for op in ops:
         errors += workload.verify(op, workload.execute(op))
     assert errors == []
+
+
+def test_small_sweep_seed_2_petz_map_is_trace_preserving():
+    # pass 20 of seed 2 holds a (4, 4, 4, 1) pair whose outcome '2' posterior has the
+    # eigenvalue 5.69e-10: kept as support by a hand-set cut of 1e-10, its inverse root
+    # left that outcome's channel trace preserving only to 4.8e-8
+    workload = workloads.WORKLOADS["small_sweep"](ib, 2, {})
+    ops = []
+    for op in workload.make_pass(20):
+        if op.stratum == "(4, 4, 4, 1)/r4":
+            instr, rho = op.inputs
+            low = np.linalg.eigvalsh(instr.outcome("2").apply(rho.matrix))[0]
+            if 5.6e-10 < low < 5.8e-10:
+                ops.append(op)
+    assert len(ops) == 1
+    assert workload.verify(ops[0], workload.execute(ops[0])) == []

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infobalance as ib
@@ -437,21 +437,38 @@ class TestMalformedChannels:
             check(instr, rho, bad)
 
 
-def on_support(w, v, f):
+EPS = np.finfo(float).eps
+
+
+def on_support(w, v, f, cut):
     fw = np.zeros_like(w)
-    mask = w > ib.tensors.SUPPORT_CUTOFF
+    mask = w > cut
     fw[mask] = f(w[mask])
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def rho_cut(w):
+    """numpy's ``matrix_rank`` bound d·eps·w_max on rho's ascending eigenvalues."""
+    return len(w) * EPS * w[-1]
+
+
+def posterior_cuts(w):
+    """Per posterior of ascending eigenvalues ``w`` ``(B, d_out)``, the eigenvalue
+    at or below which its kernel lies: d_out·eps·lambda_max/TP_ATOL, ``(B, 1)``."""
+    return w.shape[1] * EPS * w[:, -1:] / ib.objects.TP_ATOL
 
 
 def outcome_wise_channels(instr, rho):
     """The transpose channels built outcome by outcome, as before the stacked
     construction: ``OutcomeMap.apply`` for each posterior, one product per
     Kraus operator and one ``np.outer`` per re-preparation operator; None
-    where p_m ~ 0.  Also the re-preparation channel of such an outcome."""
+    where p_m ~ 0.  Also the re-preparation channel of such an outcome.
+    sqrt(rho) and the re-preparation keep rho's eigenvalues above
+    :func:`rho_cut`; each posterior's kernel lies at or below its
+    :func:`posterior_cuts` entry."""
     w, v = np.linalg.eigh(rho.matrix)
-    keep = w > PROB_EPS
-    sqrt_rho, roots, vectors = on_support(w, v, np.sqrt), np.sqrt(w[keep]), v[:, keep]
+    cut = rho_cut(w)
+    sqrt_rho, roots, vectors = on_support(w, v, np.sqrt, cut), np.sqrt(w[w > cut]), v[:, w > cut]
 
     def reprepare(onto):
         return [s * np.outer(u, k.conj()) for s, u in zip(roots, vectors.T) for k in onto.T]
@@ -460,11 +477,12 @@ def outcome_wise_channels(instr, rho):
     live = [i for i, sigma in enumerate(sigmas) if float(np.trace(sigma).real) > PROB_EPS]
     stack = np.stack([sigmas[i] for i in live])
     w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
-    inv_sqrt = on_support(w, v, lambda x: x ** -0.5)
+    cuts = posterior_cuts(w)
+    inv_sqrt = on_support(w, v, lambda x: x ** -0.5, cuts)
     channels = [None] * instr.n_outcomes
     for j, i in enumerate(live):
         recovery = [sqrt_rho @ e.conj().T @ inv_sqrt[j] for e in instr.outcomes[i].kraus]
-        channels[i] = tuple(recovery + reprepare(v[j][:, w[j] <= ib.tensors.SUPPORT_CUTOFF]))
+        channels[i] = tuple(recovery + reprepare(v[j][:, w[j] <= cuts[j]]))
     return channels, tuple(reprepare(np.eye(instr.d_out))), sigmas
 
 
@@ -481,18 +499,31 @@ def outcome_wise_fidelity(instr, rho, family):
     return total
 
 
+#: log10 ranges of one small eigenvalue of rho: one puts it between rho's
+#: support bound and 1e-10, where sqrt(rho) and the re-preparation keep it, and
+#: one puts posterior eigenvalues above 1e-10 but at or below their kernel's cut
+FLOOR_BANDS = {"posterior": (-9.5, -8.0), "rho": (-14.5, -10.0), "none": None}
+
+
 @st.composite
 def recovery_pairs(draw):
     """d_in and d_out up to 6 drawn apart, mixed multiplicities, states of any
-    rank; with ``dead`` outcomes the instrument acts on the state's support
-    and its complement apart, so those outcomes have probability zero."""
+    rank, with one eigenvalue of a state of rank 2 or more drawn from a band
+    of ``FLOOR_BANDS``; with ``dead`` outcomes the instrument acts on the
+    state's support and its complement apart, so those outcomes have
+    probability zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    band = FLOOR_BANDS[draw(st.sampled_from(list(FLOOR_BANDS)))]
     d_in, d_out = draw(st.integers(2, 6)), draw(st.integers(1, 6))
-    rank = draw(st.integers(1, d_in))
+    rank = draw(st.integers(1 if band is None else 2, d_in))
     mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     dead = draw(st.lists(st.integers(1, 3), max_size=2)) if rank < d_in else []
     u = haar_unitary(rng, d_in)
-    rho = u[:, :rank] @ np.diag(rng.dirichlet(np.ones(rank))) @ u[:, :rank].conj().T
+    w = rng.dirichlet(np.ones(rank))
+    if band is not None:
+        w[0] = 10.0 ** rng.uniform(*band)
+        w /= w.sum()
+    rho = u[:, :rank] @ np.diag(w) @ u[:, :rank].conj().T
     parts = [(mults, u[:, :rank] if dead else u), (dead, u[:, rank:])]
     outcomes = []
     for ks, basis in parts:
@@ -534,13 +565,15 @@ class TestOutcomeWiseOracle:
         assert got.hex() == outcome_wise_fidelity(instr, rho, family).hex()
 
     def test_the_draws_reach_every_branch(self):
-        # zero-probability outcomes between live ones, and kernels on live ones
+        # zero-probability outcomes between live ones, kernels on live ones, and an
+        # eigenvalue in each band where a hand-set cut (1e-10, 1e-12) and the derived differ
         seen = set()
 
+        @settings(max_examples=100)  # each band takes about one draw in seven
         @given(recovery_pairs())
         def record(pair):
             instr, rho = pair
-            channels, _, _ = outcome_wise_channels(instr, rho)
+            channels, _, sigmas = outcome_wise_channels(instr, rho)
             if any(c is None for c in channels[:-1]):
                 seen.add("dead-before-another")
             if any(c is not None and len(c) > om.multiplicity
@@ -550,9 +583,48 @@ class TestOutcomeWiseOracle:
                 seen.add("mixed")
             if instr.d_in != instr.d_out:
                 seen.add("rectangular")
+            w = np.linalg.eigvalsh(rho.matrix)
+            if ((w > rho_cut(w)) & (w <= 1e-10)).any():
+                seen.add("rho-band")  # kept by sqrt(rho) only since its cut is rho_cut
+            live = [s for c, s in zip(channels, sigmas) if c is not None]
+            w = np.linalg.eigvalsh(np.array(live))
+            if ((w > 1e-10) & (w <= posterior_cuts(w))).any():
+                seen.add("posterior-band")  # kernel only since the cut is derived
 
         record()
-        assert seen == {"dead-before-another", "kernel", "mixed", "rectangular"}
+        assert seen == {"dead-before-another", "kernel", "mixed", "rectangular", "rho-band",
+                        "posterior-band"}
+
+
+class TestOneProbabilityPerOutcome:
+    """The report, its exclusions and the Petz map read one p_m per outcome:
+    Tr E_m(rho), bit for bit ``outcome_probability``."""
+
+    @staticmethod
+    def assert_one_probability(instr, rho, report):
+        kept = {row.label: row.p for row in report.per_outcome}
+        for om in instr.outcomes:
+            p = ib.outcome_probability(instr, om.label, rho)
+            if om.label in kept:
+                assert kept[om.label].hex() == p.hex(), om.label
+                ib.petz_recovery(instr, rho, om.label)
+            else:
+                with pytest.raises(ib.ZeroProbabilityOutcome):
+                    ib.petz_recovery(instr, rho, om.label)
+
+    @given(recovery_pairs())
+    def test_report_rows_and_petz_recovery(self, pair):
+        instr, rho = pair
+        self.assert_one_probability(instr, rho, ib.balance_report(instr, rho))
+
+    @pytest.mark.parametrize("d_in, d_out, n, mult", [(8, 8, 3, 1), (16, 9, 4, 3), (33, 20, 2, 2)])
+    def test_batched_rows_of_traces_summed_pairwise(self, d_in, d_out, n, mult):
+        # numpy sums a diagonal of 8 or more entries pairwise, in a stack as alone
+        rng = np.random.default_rng(d_in)
+        instr = ib.random_instrument(d_in, d_in, d_out, n, mult)
+        states = [random_state(rng, d_in, rank) for rank in (d_in, d_in // 2, 1)]
+        for rho, report in zip(states, ib.balance_reports([(instr, rho) for rho in states])):
+            self.assert_one_probability(instr, rho, report)
 
 
 class TestKeptPosteriors:
