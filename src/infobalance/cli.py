@@ -22,7 +22,7 @@ from . import __version__
 from .encodings import holevo_check
 from .errors import InfoBalanceError, ParseError
 from .families import DEFAULT_PARAMS, FAMILIES
-from .measures import balance_report, balance_reports
+from .measures import _iter_reports, balance_report
 from .objects import Instrument, purify, random_instrument, validate
 from .recovery import correction_thresholds, fano_bound_check, petz_family
 from .serialize import (
@@ -211,13 +211,14 @@ def cmd_sweep(args) -> int:
     rho = _load_state(args.state, first.d_in)
     instruments = itertools.chain([first], instruments)
     del first  # the batch alone decides how long an instrument lives
-    # each instrument is built as the batch takes its pair, so errors come in grid order
-    reports = balance_reports((instr, rho) for instr in instruments)
-    rows = [
+    # each instrument is built as the batch takes its pair, so errors come in
+    # grid order; each report becomes its row as its block completes
+    reports = _iter_reports((instr, rho) for instr in instruments)
+    rows = (
         (format(t, ".17g"), _in_units({k: getattr(report, k) for k in CSV_HEADER[1:]}, args.nats))
         for t, report in zip(grid, reports)
-    ]
-    _write_out(args, _csv(rows), f"{len(rows)} rows")
+    )
+    _write_out(args, _csv(rows), f"{len(grid)} rows")
     return 0
 
 

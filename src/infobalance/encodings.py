@@ -165,23 +165,22 @@ def random_reference_povm(rng: np.random.Generator, dim: int) -> Povm:
 
 
 def _reference_draws(
-    rng: np.random.Generator, dim: int
+    rng: np.random.Generator, dim: int, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The random numbers of one reference POVM, in the order they are drawn.
 
     Per rank-1 element the real then imaginary parts of its Gaussian vector
     (one row ``(2 * dim,)``) and its weight, uniform in [0.2, 1); the
-    overall scale, uniform in [0.2, 0.95), last.
+    overall scale, uniform in [0.2, 0.95), last.  The rows and weights are
+    drawn into the arrays ``out``, if given.
     """
-    k = dim + 1
-    g = np.empty((k, 2 * dim))
-    u = np.empty(k)
-    for i in range(k):
-        rng.standard_normal(out=g[i])
-        u[i] = rng.random()
+    g, u = out or (np.empty((dim + 1, 2 * dim)), np.empty(dim + 1))
     # Generator.uniform(a, b) returns a + (b - a) * random(): the same
     # numbers, at three times the call cost
-    return g, 0.2 + (1.0 - 0.2) * u, 0.2 + (0.95 - 0.2) * rng.random()
+    for i in range(dim + 1):
+        rng.standard_normal(out=g[i])
+        u[i] = 0.2 + (1.0 - 0.2) * rng.random()
+    return g, u, 0.2 + (0.95 - 0.2) * rng.random()
 
 
 def _reference_factors(
@@ -200,7 +199,7 @@ def _reference_factors(
     v = g[..., :dim] + 1j * g[..., dim:]
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     total = _rank1_sum(u, v)
-    top = np.linalg.eigvalsh(_hermitian(total))[..., -1]
+    top = np.linalg.eigvalsh(total)[..., -1]  # reads one triangle of total
     scale = s / top
     deficit = np.eye(dim) - scale[..., None, None] * total
     low = _lowest_eigenvalues(deficit, 1e-12)
@@ -214,16 +213,17 @@ def _trial_factors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_reference_factors` stacked over the reference POVMs that
     ``rng``, a PCG64 generator, draws from each ``(state, inc)`` of ``states``."""
-    draws = []
-    for state, inc in states:
+    g = np.empty((len(states), dim + 1, 2 * dim))
+    u, s = np.empty(g.shape[:2]), np.empty(len(states))
+    for j, (state, inc) in enumerate(states):
         rng.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        draws.append(_reference_draws(rng, dim))
-    return _reference_factors(*(np.array(column) for column in zip(*draws)))
+        s[j] = _reference_draws(rng, dim, (g[j], u[j]))[2]
+    return _reference_factors(g, u, s)
 
 
 def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
@@ -290,18 +290,22 @@ def _factored_joint(
     The factored form of ``_trace_products(_letter_parts(inp, stack),
     elements)``, with the same checks.  Letter i is ``c_i |b_i><b_i|`` for
     ``b_i = psiᵀ conj(v_i)``, so its row is ``c_i <b_i|P_m|b_i>``; the
-    deficit's letter and row are dense.
+    deficit's letter ``(psi† D psi)ᵀ = (D psi)ᵀ conj(psi)`` and row are
+    dense.  Each product but the last takes the rows of the whole stack.
     """
     psi = inp.psi_matrix
-    b = v.conj() @ psi
-    deficit_part = _hermitian((psi.conj().T @ deficit @ psi).swapaxes(-1, -2))
+    (r, d), lead, n = psi.shape, c.shape[:-1], elements.shape[0]
+    b = (v.conj().reshape(-1, r) @ psi).reshape(v.shape[:-1] + (d,))
+    d_psi = (deficit.reshape(-1, r) @ psi).reshape(lead + (r, d))
+    deficit_part = (d_psi.swapaxes(-1, -2).reshape(-1, r) @ psi.conj()).reshape(lead + (d, d))
     _check_letter_sum(_rank1_sum(c, b) + deficit_part, inp.rho.matrix)
-    n, d = elements.shape[:2]
     # b_i† P_m for every i and m from one product with the P_m side by side
-    bp = (b.conj() @ elements.transpose(1, 0, 2).reshape(d, n * d)).reshape(
+    bp = (b.conj().reshape(-1, d) @ elements.transpose(1, 0, 2).reshape(d, n * d)).reshape(
         b.shape[:-1] + (n, d)
     )
-    rows = c[..., None] * np.sum(bp * b[..., None, :], axis=-1).real
+    rows = c[..., None] * np.einsum("...imd,...id->...im", bp, b).real
+    # per POVM, as a product over a block of one would be a gemv, which
+    # rounds unlike gemm: the tables would then depend on the block size
     deficit_row = _trace_products(deficit_part[..., None, :, :], elements)
     return _check_joint(np.concatenate([rows, deficit_row], axis=-2))
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -564,7 +564,12 @@ def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[Ba
     Errors come in the order of the pairs: one raised by the checks of pair
     ``k`` carries the note ``pair k of the batch``.
     """
-    source, reports, done = iter(pairs), [], False
+    return list(_iter_reports(pairs))
+
+
+def _iter_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> Iterator[BalanceReport]:
+    """The reports of :func:`balance_reports`, yielded as each block completes."""
+    source, done, offset = iter(pairs), False, 0
     while not done:
         block, size, failure = [], 0, None
         try:
@@ -577,10 +582,10 @@ def balance_reports(pairs: Iterable[tuple[Instrument, LabeledState]]) -> list[Ba
                 done = True
         except Exception as exc:  # raised once the pairs before it are checked
             failure, done = exc, True
-        reports += _block_reports(block, len(reports))
+        yield from _block_reports(block, offset)
+        offset += len(block)
         if failure is not None:
             raise failure
-    return reports
 
 
 def _block_reports(pairs: list, offset: int) -> list[BalanceReport]:

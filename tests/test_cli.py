@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -325,6 +326,33 @@ class TestSweep:
 
         monkeypatch.setattr(ib.BalanceReport, "to_dict", refuse)
         assert run(capsys, *argv) == (0, expected, "")
+
+    def test_reports_are_dropped_as_their_blocks_complete(self, capsys, monkeypatch):
+        # one pair per block; when a block starts, every report but the
+        # previous block's last (the row being formatted) is gone
+        monkeypatch.setattr(ib.measures, "_BLOCK_BYTES", 1)
+        block_reports, made, live = ib.measures._block_reports, [], []
+
+        def kept(pairs, offset):
+            live.append(sum(ref() is not None for ref in made))
+            reports = block_reports(pairs, offset)
+            made.extend(weakref.ref(report) for report in reports)
+            return reports
+
+        monkeypatch.setattr(ib.measures, "_block_reports", kept)
+        argv = ["sweep", "--family", "depolarizing", "--points", "12", "--quiet"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(made) == 12 and max(live) <= 1, live
+        monkeypatch.undo()
+        assert run(capsys, *argv) == (0, out, "")
+
+    def test_error_after_completed_blocks_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(ib.measures, "_BLOCK_BYTES", 1)
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--family", "filter", "--grid", "0.2,0.5,2",
+                             "--quiet", "--out", str(path))
+        assert (code, out, err) == (1, "", "error: filter parameter 2.0 outside [0, 1]\n")
+        assert not path.exists()
 
     def test_deterministic_bytes(self, capsys):
         _, a, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")

@@ -266,6 +266,48 @@ class TestTrialSeeding:
         report = ib.holevo_check(inp, instr, 37, seed)
         assert report.max_classical_mi.hex() == self.spawned_maximum(inp, instr, 37, seed).hex()
 
+    @pytest.mark.parametrize("block_bytes", [None, 1, 5000])
+    @pytest.mark.parametrize(
+        "d, rank", [(1, 1), (10, 10), (10, 5)], ids=["d1", "d10-full", "d10-half"]
+    )
+    def test_maximum_matches_spawned_generators_at_two_outcomes(
+        self, monkeypatch, block_bytes, d, rank
+    ):
+        # two outcomes of multiplicity 1, as the `holevo d=10` stratum of the
+        # benchmark; 80 trials are blocks of 76 + 4 at d=10 and 78 + 2 at d=1
+        # with 5000 bytes, so each product runs with several row counts
+        instr = ib.random_instrument(d + 11, d, d, 2, 1)
+        inp = ib.purify(random_state(np.random.default_rng(d + rank), d, rank))
+        if block_bytes is not None:
+            monkeypatch.setattr(ib.encodings, "_BLOCK_BYTES", block_bytes)
+        report = ib.holevo_check(inp, instr, 80, 12)
+        assert report.max_classical_mi.hex() == self.spawned_maximum(inp, instr, 80, 12).hex()
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_draw_block_matches_one_trial_draws(self, d):
+        calls = {"standard_normal": 0, "random": 0}
+
+        class CountedGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls["standard_normal"] += 1
+                return super().standard_normal(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                calls["random"] += 1
+                return super().random(*args, **kwargs)
+
+        root = np.random.SeedSequence(21)
+        states = ib.encodings._child_states(root, 0, 9)
+        block = ib.encodings._trial_factors(CountedGenerator(np.random.PCG64()), states, d)
+        assert calls == {"standard_normal": 9 * (d + 1), "random": 9 * (d + 2)}
+        draws = [
+            ib.encodings._reference_draws(np.random.default_rng(child), d)
+            for child in root.spawn(9)
+        ]
+        stacked = ib.encodings._reference_factors(*(np.array(column) for column in zip(*draws)))
+        for got, want in zip(block, stacked):
+            assert got.tobytes() == want.tobytes()
+
     def test_call_budget(self, monkeypatch):
         # one generator per call and no SeedSequence children, whatever the trial count
         counts = {"default_rng": 0, "PCG64": 0, "spawn": 0, "children": 0}
