@@ -9,6 +9,8 @@ All entropic quantities are in bits.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadDistribution,
     DimensionMismatch,
@@ -56,12 +58,8 @@ from .objects import (
 from .serialize import (
     dumps_instrument,
     dumps_json,
-    dumps_povm,
     dumps_state,
-    dumps_recovery_family,
     loads_instrument,
-    loads_povm,
-    loads_recovery_family,
     loads_state,
 )
 from .dilation import (
@@ -121,4 +119,6 @@ from .families import (
     projective,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are not part of the API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

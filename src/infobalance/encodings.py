@@ -128,7 +128,8 @@ def _check_joint(joint: np.ndarray) -> np.ndarray:
 
 
 def classical_mutual_information(joint) -> float:
-    """I(X:M) in bits of a joint probability table; zero cells are skipped."""
+    """I(X:M) in bits of a joint probability table; cells at or below
+    PROB_EPS (1e-12) are skipped."""
     p = np.asarray(joint, dtype=float)
     if p.ndim != 2:
         raise BadDistribution(f"joint table must be 2-D, got shape {p.shape}")

@@ -300,7 +300,7 @@ class Povm:
 
 
 def check_povm(povm: Povm, atol: float = TP_ATOL) -> None:
-    """Raise :class:`InvalidPovm` unless elements are PSD and complete."""
+    """Raise :class:`InvalidPovm` unless elements are Hermitian, PSD and complete."""
     stack = np.reshape([m for _, m in povm.elements], (-1, povm.d, povm.d))
     _check_povm_stack(stack, povm.labels, atol)
 
@@ -309,12 +309,15 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
     """:func:`check_povm` on elements stacked as ``(..., k, d, d)``.
 
     Leading axes hold independent POVMs sharing ``labels``.  Every element
-    is tested for finite entries, then for positivity, the first failure in
-    C order being reported, before completeness, where the largest deviation
-    is reported.
+    is tested for finite entries, then for Hermiticity within atol, then for
+    positivity, the first failure in C order being reported, before
+    completeness, where the largest deviation is reported.
     """
-    _require_finite(np.isfinite(stack).all(axis=(-2, -1)), labels)
-    _require_psd(_lowest_eigenvalues(stack, atol), labels, atol)
+    _reject_first(~np.isfinite(stack).all(axis=(-2, -1)), labels, _NON_FINITE)
+    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    _reject_first(skew > atol, labels, _NOT_HERMITIAN, skew)
+    low = _lowest_eigenvalues(stack, atol)
+    _reject_first(low < -atol, labels, _NEGATIVE, low)
     _require_complete(stack.sum(axis=-3), atol)
 
 
@@ -326,15 +329,17 @@ def _check_factored_povm(
     ``deficit`` ``(..., d, d)``, without forming the rank-1 elements.
 
     The checks, their order and their messages are those of the stacked
-    check at TP_ATOL.  The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
+    check at TP_ATOL, less the Hermiticity check: each ``c |v><v|`` is
+    Hermitian exactly, and the deficit ``I - scale·total`` up to round-off.
+    The only nonzero eigenvalue of ``c |v><v|`` is ``c ||v||²``, so
     it is read directly; ``deficit_low`` is what :func:`_lowest_eigenvalues`
     gives for the deficit, or zeros where the caller screened it already.
     """
-    finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
-    deficit_finite = np.isfinite(deficit).all(axis=(-2, -1))
-    _require_finite(np.concatenate([finite, deficit_finite[..., None]], axis=-1), labels)
-    rank1 = c * np.sum(np.abs(v) ** 2, axis=-1)
-    _require_psd(np.concatenate([rank1, deficit_low[..., None]], axis=-1), labels, TP_ATOL)
+    finite = np.concatenate([np.isfinite(c) & np.isfinite(v).all(axis=-1),
+                             np.isfinite(deficit).all(axis=(-2, -1))[..., None]], axis=-1)
+    _reject_first(~finite, labels, _NON_FINITE)
+    low = np.concatenate([c * np.sum(np.abs(v) ** 2, axis=-1), deficit_low[..., None]], axis=-1)
+    _reject_first(low < -TP_ATOL, labels, _NEGATIVE, low)
     _require_complete(_rank1_sum(c, v) + deficit, TP_ATOL)
 
 
@@ -344,20 +349,18 @@ def _rank1_sum(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v.swapaxes(-1, -2) * c[..., None, :]) @ v.conj()
 
 
-def _require_finite(finite: np.ndarray, labels) -> None:
-    """Raise for the first element, in C order, not marked ``finite``."""
-    if not finite.all():
-        index = tuple(np.argwhere(~finite)[0])
-        raise InvalidPovm(f"non-finite entries: element {labels[index[-1]]!r}")
+_NON_FINITE = "non-finite entries: element {label!r}"
+_NOT_HERMITIAN = "element {label!r} is not Hermitian: max |P - P†| = {value:.3e}"
+_NEGATIVE = "element {label!r} has eigenvalue {value:.3e}"
 
 
-def _require_psd(low: np.ndarray, labels, atol: float) -> None:
-    """Raise for the first element, in C order, of lowest eigenvalue ``low``
-    below -atol."""
-    bad = np.argwhere(low < -atol)
-    if bad.size:
-        index = tuple(bad[0])
-        raise InvalidPovm(f"element {labels[index[-1]]!r} has eigenvalue {low[index]:.3e}")
+def _reject_first(bad: np.ndarray, labels, message: str, values=None) -> None:
+    """Raise ``message`` for the first element, in C order, marked ``bad``,
+    formatted with its label and its entry of ``values``."""
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        value = None if values is None else values[index]
+        raise InvalidPovm(message.format(label=labels[index[-1]], value=value))
 
 
 def _require_complete(total: np.ndarray, atol: float) -> None:

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import InfoBalanceError, ParseError
-from .objects import Instrument, OutcomeMap, Povm
+from .objects import Instrument, OutcomeMap
 from .tensors import LabeledState, Subsystem
 
 #: the least integer that rounds past the largest float
@@ -121,22 +121,13 @@ def _matrix_in(node, where: str) -> np.ndarray:
 # -- instruments -------------------------------------------------------------
 
 def dumps_instrument(instr: Instrument) -> str:
-    return dumps_json(_instrument_doc(instr.d_in, instr.d_out,
-                                      [(o.label, o.kraus) for o in instr.outcomes]))
-
-
-def _instrument_doc(d_in: int, d_out: int, outcomes) -> dict:
-    """The instrument document of the ``(label, kraus)`` pairs ``outcomes``."""
-    outcomes = [{"label": label, "kraus": [_matrix_out(k) for k in kraus]}
-                for label, kraus in outcomes]
-    return {"d_in": d_in, "d_out": d_out, "outcomes": outcomes}
+    outcomes = [{"label": o.label, "kraus": [_matrix_out(k) for k in o.kraus]}
+                for o in instr.outcomes]
+    return dumps_json({"d_in": instr.d_in, "d_out": instr.d_out, "outcomes": outcomes})
 
 
 def loads_instrument(text: str, validate_invariants: bool = True) -> Instrument:
-    return _instrument_in(_expect(_loads(text), dict, "<root>"), validate_invariants)
-
-
-def _instrument_in(doc: dict, validate_invariants: bool) -> Instrument:
+    doc = _expect(_loads(text), dict, "<root>")
     d_in, d_out, onodes = _fields(doc, "d_in", "d_out", "outcomes")
     d_in = _expect(d_in, int, "d_in")
     d_out = _expect(d_out, int, "d_out")
@@ -174,7 +165,7 @@ def dumps_state(state: LabeledState) -> str:
     return dumps_json(doc)
 
 
-def loads_state(text: str, validate_invariants: bool = True) -> LabeledState:
+def loads_state(text: str) -> LabeledState:
     doc = _expect(_loads(text), dict, "<root>")
     lnodes, matrix = _fields(doc, "labels", "matrix")
     labels = []
@@ -188,67 +179,6 @@ def loads_state(text: str, validate_invariants: bool = True) -> LabeledState:
             raise ParseError(f"labels[{i}]: {exc}") from exc
     matrix = _matrix_in(matrix, "matrix")
     try:
-        return LabeledState(tuple(labels), matrix, validate=validate_invariants)
+        return LabeledState(tuple(labels), matrix)
     except InfoBalanceError as exc:
         raise ParseError(f"state invariant violated: {exc}") from exc
-
-
-# -- recovery families ---------------------------------------------------------
-
-def dumps_recovery_family(family) -> str:
-    """Each recovery channel is a single-outcome instrument document."""
-    docs = []
-    for label, kraus, flag in zip(
-        family.outcome_labels, family.channels, family.completion_flags
-    ):
-        rows, cols = kraus[0].shape
-        doc = _instrument_doc(int(cols), int(rows), [(label, kraus)])
-        docs.append({**doc, "completion": bool(flag)})
-    return dumps_json({"channels": docs})
-
-
-def loads_recovery_family(text: str, validate_invariants: bool = True):
-    from .recovery import RecoveryFamily
-
-    [cnodes] = _fields(_expect(_loads(text), dict, "<root>"), "channels")
-    labels, channels, flags = [], [], []
-    for i, cnode in enumerate(_expect(cnodes, list, "channels")):
-        cnode = _expect(cnode, dict, f"channels[{i}]")
-        channel = _instrument_in(cnode, validate_invariants)
-        if channel.n_outcomes != 1:
-            raise ParseError(f"channels[{i}]: expected a single-outcome document")
-        labels.append(channel.outcomes[0].label)
-        channels.append(channel.outcomes[0].kraus)
-        flags.append(_expect(cnode.get("completion", False), bool, f"channels[{i}].completion"))
-    try:
-        return RecoveryFamily(tuple(labels), tuple(channels), tuple(flags))
-    except InfoBalanceError as exc:  # names the channel, as channels[i]
-        raise ParseError(str(exc)) from exc
-
-
-# -- POVMs --------------------------------------------------------------------
-
-def dumps_povm(povm: Povm) -> str:
-    doc = {
-        "d": povm.d,
-        "elements": [
-            {"label": label, "matrix": _matrix_out(m)} for label, m in povm.elements
-        ],
-    }
-    return dumps_json(doc)
-
-
-def loads_povm(text: str) -> Povm:
-    doc = _expect(_loads(text), dict, "<root>")
-    d, enodes = _fields(doc, "d", "elements")
-    d = _expect(d, int, "d")
-    elements = []
-    for i, enode in enumerate(_expect(enodes, list, "elements")):
-        enode = _expect(enode, dict, f"elements[{i}]")
-        label = _expect(enode.get("label"), str, f"elements[{i}].label")
-        matrix = _matrix_in(enode.get("matrix"), f"elements[{i}].matrix")
-        elements.append((label, matrix))
-    try:
-        return Povm(d, tuple(elements))
-    except InfoBalanceError as exc:
-        raise ParseError(str(exc)) from exc

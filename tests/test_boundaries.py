@@ -1,13 +1,15 @@
 """Module boundaries that other code relies on: the engine never imports the
 reference module, only ``objects`` lays out an instrument's operators and
-validates it (``cli`` also reports a fresh validation), and every per-layer
-metric of the benchmark names a function or class that still lives in the
-module it is attributed to."""
+validates it (``cli`` also reports a fresh validation), the package exports
+no submodule, every public function of ``serialize`` serves a command or a
+documented file format, and every per-layer metric of the benchmark names a
+function or class that still lives in the module it is attributed to."""
 
 import ast
 import importlib
 import json
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -73,3 +75,26 @@ def per_layer_targets():
 def test_per_layer_metric_names_a_traced_definition(module, name):
     mod = importlib.import_module(f"infobalance.{module}")
     assert getattr(getattr(mod, name, None), "__module__", None) == mod.__name__
+
+
+def test_package_exports_no_module():
+    package = importlib.import_module("infobalance")
+    modules = [name for name in package.__all__ if isinstance(getattr(package, name), ModuleType)]
+    assert modules == []
+
+
+def public_functions(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def readme_section(title):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("name", public_functions("serialize"))
+def test_every_serializer_is_called_by_the_cli_or_documented(name):
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert list(calls_in(cli, name)) or f"`{name}`" in readme_section("File formats")

@@ -380,6 +380,24 @@ class TestCheckPovm:
         with pytest.raises(ib.InvalidPovm, match=r"^non-finite entries: element 'b'$"):
             ib.check_povm(povm)
 
+    @staticmethod
+    def skewed(t):
+        """Complete elements I/2 ± K whose Hermitian parts are I/2, with K
+        antihermitian of largest entry t, so each max |P - P†| is 2t."""
+        k = np.array([[0.0, t], [-t, 0.0]])
+        return ib.Povm(2, (("a", np.eye(2) / 2 + k), ("b", np.eye(2) / 2 - k)))
+
+    def test_non_hermitian_element_is_named(self):
+        with pytest.raises(
+            ib.InvalidPovm, match=r"^element 'a' is not Hermitian: max \|P - P†\| = 1\.000e\+01$"
+        ):
+            ib.check_povm(self.skewed(5.0))
+
+    def test_hermiticity_decides_at_the_tolerance(self):
+        ib.check_povm(self.skewed(0.49 * ib.objects.TP_ATOL))
+        with pytest.raises(ib.InvalidPovm, match="^element 'a' is not Hermitian"):
+            ib.check_povm(self.skewed(0.51 * ib.objects.TP_ATOL))
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 10),

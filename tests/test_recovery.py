@@ -294,9 +294,7 @@ class TestCorrectedFidelityReference:
         # each outcome's "recovery" is an arbitrary channel from C^2 to C^3
         channels = tuple(ib.random_instrument(20 + m, 2, 3, 1, 2).outcomes[0].kraus
                          for m in range(2))
-        family = ib.loads_recovery_family(ib.dumps_recovery_family(
-            ib.RecoveryFamily(instr.outcome_labels, channels, (False, False))
-        ))
+        family = ib.RecoveryFamily(instr.outcome_labels, channels, (False, False))
         self.assert_matches(instr, random_state(rng, 3), family)
 
     def test_family_for_another_output_dimension(self):
