@@ -203,7 +203,7 @@ def _reference_factors(
     top = np.linalg.eigvalsh(total)[..., -1]  # reads one triangle of total
     scale = s / top
     deficit = np.eye(dim) - scale[..., None, None] * total
-    low = _lowest_eigenvalues(deficit, 1e-12)
+    low = _lowest_eigenvalues(deficit, 1e-12)  # the deficit is Hermitian to round-off
     if (min_eig := float(np.min(low))) < -1e-12:
         raise NumericalInconsistency(f"POVM deficit not PSD: {min_eig:.3e}")
     return scale[..., None] * u, v, deficit

@@ -48,7 +48,7 @@ class OutcomeMap:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise InvalidInstrument(f"outcome {self.label!r} has no Kraus operators")
         object.__setattr__(self, "kraus", tuple(_operator(k) for k in self.kraus))
 
@@ -316,7 +316,7 @@ def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
     _reject_first(~np.isfinite(stack).all(axis=(-2, -1)), labels, _NON_FINITE)
     skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject_first(skew > atol, labels, _NOT_HERMITIAN, skew)
-    low = _lowest_eigenvalues(stack, atol)
+    low = _lowest_eigenvalues(_hermitian(stack), atol)
     _reject_first(low < -atol, labels, _NEGATIVE, low)
     _require_complete(stack.sum(axis=-3), atol)
 
@@ -371,20 +371,19 @@ def _require_complete(total: np.ndarray, atol: float) -> None:
 
 
 def _lowest_eigenvalues(stack: np.ndarray, atol: float) -> np.ndarray:
-    """Zeros when one stacked Cholesky factorization of the Hermitian parts
-    of the stack ``(..., d, d)``, shifted by atol/2, succeeds; else the
-    lowest eigenvalue of each part, from a stacked ``eigvalsh``.
+    """Zeros when one stacked Cholesky factorization of the Hermitian stack
+    ``(..., d, d)``, shifted by atol/2, succeeds; else the lowest eigenvalue
+    of each matrix, from a stacked ``eigvalsh``.  Both read one triangle.
 
     Success shows every eigenvalue to lie above -atol/2, up to the rounding
     of the factorization, which is far below atol/2; so a stack with an
     eigenvalue below -atol never passes the screen.
     """
-    h = _hermitian(stack)
     try:
-        np.linalg.cholesky(h + atol / 2 * np.eye(h.shape[-1]))
+        np.linalg.cholesky(stack + atol / 2 * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
-        return np.linalg.eigvalsh(h)[..., 0]
-    return np.zeros(h.shape[:-2])
+        return np.linalg.eigvalsh(stack)[..., 0]
+    return np.zeros(stack.shape[:-2])
 
 
 def povm_of(instr: Instrument) -> Povm:

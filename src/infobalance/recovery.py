@@ -5,7 +5,8 @@ For every outcome the transpose (Petz) channel
 is built, completed to trace preservation by sending the kernel of E_m(rho)
 to rho.  A family is built from the pair's analysis in
 :mod:`infobalance.measures` (its eigh of rho, products E_k rho, posteriors
-E_m(rho) and weights p_m) as stacks over the outcomes, on the purification's
+E_m(rho) and weights p_m): one stacked eigh of the posteriors, then each
+outcome's channel from its own Kraus run and kernel rows, on the purification's
 support of rho; each posterior's kernel follows from its eigh's backward error.
 The corrected channel sum_m R_m ∘ E_m has entanglement fidelity
 F = sum_m sum_{R in R_m, E in E_m} |Tr(rho R E)|², one product per outcome;
@@ -31,18 +32,16 @@ from .tensors import LabeledState, _hermitian, _on_support
 
 @dataclass(frozen=True, eq=False)
 class RecoveryFamily:
-    """One recovery channel (Kraus list, output -> input) and completion flag
-    per outcome label; labels are distinct and no channel is empty."""
+    """One recovery channel (Kraus list, output -> input) per outcome label;
+    labels are distinct and no channel is empty."""
 
     outcome_labels: tuple[str, ...]
     channels: tuple[tuple[np.ndarray, ...], ...]
-    completion_flags: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        labels, sizes = self.outcome_labels, (len(self.channels), len(self.completion_flags))
-        if sizes != (len(labels),) * 2:
-            raise DimensionMismatch(f"channels[{min(len(labels), *sizes)}]: {len(labels)} labels,"
-                                    " %d channels and %d completion flags" % sizes)
+        labels, k, n = self.outcome_labels, len(self.outcome_labels), len(self.channels)
+        if n != k:
+            raise DimensionMismatch(f"channels[{min(k, n)}]: {k} labels and {n} channels")
         for i, (label, kraus) in enumerate(zip(labels, self.channels)):
             if labels.index(label) < i:
                 raise DuplicateLabel(f"channels[{i}]: outcome {label!r} has a channel already")
@@ -55,16 +54,17 @@ class RecoveryFamily:
         return self.channels[self.outcome_labels.index(label)]
 
 
-def _transpose_channels(group, pick) -> tuple[list[tuple], list[bool]]:
-    """The Kraus list of each outcome of ``pick`` and whether it is completed:
-    its transpose channel, completed by re-preparing rho on the kernel of
+def _transpose_channels(group, pick) -> list[tuple]:
+    """The Kraus list of each outcome of ``pick``, from its own Kraus run: its
+    transpose channel, completed by re-preparing rho on the kernel of
     E_m(rho), or only that re-preparation on the whole output where p_m ~ 0.
     Every outcome goes through one stacked ``eigh``; one of p_m ~ 0 is then
     given eigenvalues 0 and the standard basis, so its kernel is the output."""
     (w, v), kraus, starts = group.rho_eighs[0], group.kraus[0], group.starts
     sigmas, live, cut = group.posteriors[0], group.weights[0] > 0.0, _support_cut(w)
     keep = w > cut  # sqrt(rho) and the re-preparation keep the purification's support
-    sqrt_rho, roots, vectors = _on_support(w, v, np.sqrt, cut), np.sqrt(w[keep]), v[:, keep]
+    sqrt_rho, roots = _on_support(w, v, np.sqrt, cut), np.sqrt(w[keep])[:, None, None, None]
+    vectors = v[:, keep].T[:, None, :, None]  # v_i on the third axis of (root, row, in, out)
     ks = [group.mults[m] if live[m] else 0 for m in pick]  # recovery operators
     w, v = np.linalg.eigh(_hermitian(sigmas[list(pick)]))
     onto = v.conj().swapaxes(1, 2)  # rows k_j† of the bases
@@ -75,19 +75,14 @@ def _transpose_channels(group, pick) -> tuple[list[tuple], list[bool]]:
     # through x^{-1/2}, would put the channel's TP error at TP_ATOL or more
     cut = sigmas.shape[1] * np.finfo(float).eps * w[:, -1:] / TP_ATOL
     inv_sqrt = _on_support(w, v, lambda x: x ** -0.5, cut)
-    rows = [starts[m] + i for m, k in zip(pick, ks) for i in range(k)]
-    recovery = list(sqrt_rho @ kraus[rows].conj().swapaxes(1, 2) @ inv_sqrt.repeat(ks, axis=0))
-    kernel = w <= cut
-    onto = onto[kernel]
-    reprepare = vectors.T[:, None, :, None] * onto[None, :, None, :]  # sqrt(w_i) v_i k_j† of
-    np.multiply(roots[:, None, None, None], reprepare, out=reprepare)  # root i and basis row j
-    reprepare = [list(row) for row in reprepare]
-    channels, first, col = [], 0, 0
-    for k, q in zip(ks, kernel.sum(axis=1).tolist()):
-        channels.append((*recovery[first : first + k],
-                         *[x for row in reprepare for x in row[col : col + q]]))
-        first, col = first + k, col + q
-    return channels, [len(channel) > k for channel, k in zip(channels, ks)]
+    sizes = (w <= cut).sum(axis=1).tolist()  # eigh's w ascend, so each kernel is a prefix
+    channels = []
+    for m, k, inv_sqrt_m, onto_m, q in zip(pick, ks, inv_sqrt, onto, sizes):
+        recovery = sqrt_rho @ kraus[starts[m] : starts[m] + k].conj().swapaxes(1, 2) @ inv_sqrt_m
+        reprepare = vectors * onto_m[None, :q, None, :]  # v_i k_j† of root i and row j,
+        np.multiply(roots, reprepare, out=reprepare)  # then times sqrt(w_i)
+        channels.append((*recovery, *reprepare.reshape(-1, *reprepare.shape[2:])))
+    return channels
 
 
 def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[np.ndarray, ...]:
@@ -97,14 +92,14 @@ def petz_recovery(instr: Instrument, rho: LabeledState, outcome: str) -> tuple[n
     if not group.weights[0, m] > 0.0:
         p = group.probs[0, m]
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
-    return _transpose_channels(group, [m])[0][0]
+    return _transpose_channels(group, [m])[0]
 
 
 def petz_family(instr: Instrument, rho: LabeledState) -> RecoveryFamily:
     """Transpose-channel family covering every outcome; an outcome of
     probability ~0 re-prepares rho, so the composite stays trace preserving."""
-    channels, flags = _transpose_channels(_analysis(instr, rho), range(instr.n_outcomes))
-    return RecoveryFamily(instr.outcome_labels, tuple(channels), tuple(flags))
+    channels = _transpose_channels(_analysis(instr, rho), range(instr.n_outcomes))
+    return RecoveryFamily(instr.outcome_labels, tuple(channels))
 
 
 def corrected_fidelity(instr: Instrument, rho: LabeledState, family: RecoveryFamily) -> float:

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,14 @@ import infobalance as ib
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(title):
+    """The text of the README's ``## title`` section, up to the next one."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def qstate(diag_or_matrix, name="Q"):

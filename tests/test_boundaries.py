@@ -12,6 +12,7 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from conftest import readme_section
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "infobalance"
@@ -87,11 +88,6 @@ def public_functions(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     return [node.name for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-
-
-def readme_section(title):
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 @pytest.mark.parametrize("name", public_functions("serialize"))

@@ -68,6 +68,21 @@ class TestValidate:
             ib.balance_report(bad, qstate([0.5, 0.5]))
 
 
+class TestOutcomeMap:
+    @pytest.mark.parametrize("kraus", [(), np.zeros((0, 2, 2), dtype=complex)],
+                             ids=["tuple", "stack"])
+    def test_no_kraus_operators(self, kraus):
+        with pytest.raises(ib.InvalidInstrument, match=r"^outcome 'a' has no Kraus operators$"):
+            ib.OutcomeMap("a", kraus)
+
+    def test_a_stack_gives_the_operators_of_its_tuple(self):
+        stack = ib.random_instrument(3, 3, 2, 2, 2).kraus_stack[:2]
+        got, want = ib.OutcomeMap("a", stack).kraus, ib.OutcomeMap("a", tuple(stack)).kraus
+        assert [k.shape for k in got] == [k.shape for k in want] == [(2, 3)] * 2
+        assert [k.tobytes() for k in got] == [k.tobytes() for k in want]
+        assert not any(k.flags.writeable for k in got)
+
+
 class TestValidatedOnce:
     def test_library_sequence_validates_once(self, validations):
         instr = ib.random_instrument(3, 3, 2, 3, 2)

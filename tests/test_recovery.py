@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,9 +158,7 @@ class TestCorrectedFidelity:
     def test_missing_outcome(self):
         rho = qstate([0.5, 0.5])
         family = ib.petz_family(ib.projective(), rho)
-        partial = ib.RecoveryFamily(
-            family.outcome_labels[:1], family.channels[:1], family.completion_flags[:1]
-        )
+        partial = ib.RecoveryFamily(family.outcome_labels[:1], family.channels[:1])
         with pytest.raises(ib.MissingOutcome):
             ib.corrected_fidelity(ib.projective(), rho, partial)
 
@@ -294,7 +293,7 @@ class TestCorrectedFidelityReference:
         # each outcome's "recovery" is an arbitrary channel from C^2 to C^3
         channels = tuple(ib.random_instrument(20 + m, 2, 3, 1, 2).outcomes[0].kraus
                          for m in range(2))
-        family = ib.RecoveryFamily(instr.outcome_labels, channels, (False, False))
+        family = ib.RecoveryFamily(instr.outcome_labels, channels)
         self.assert_matches(instr, random_state(rng, 3), family)
 
     def test_family_for_another_output_dimension(self):
@@ -389,20 +388,21 @@ class TestRecoveryFamilyInvariants:
     def channel():
         return (np.eye(2, dtype=complex),)
 
-    @pytest.mark.parametrize("labels, n_channels, n_flags, index", [
-        (("0", "1"), 1, 2, 1), (("0",), 2, 2, 1), (("0", "1"), 2, 1, 1), (("0", "1", "2"), 3, 0, 0),
+    @pytest.mark.parametrize("labels, n_channels, index", [
+        (("0", "1"), 1, 1), (("0",), 2, 1), (("0", "1", "2"), 0, 0),
     ])
-    def test_lengths_agree(self, labels, n_channels, n_flags, index):
-        with pytest.raises(ib.DimensionMismatch, match=rf"^channels\[{index}\]: "):
-            ib.RecoveryFamily(labels, (self.channel(),) * n_channels, (False,) * n_flags)
+    def test_lengths_agree(self, labels, n_channels, index):
+        message = rf"^channels\[{index}\]: {len(labels)} labels and {n_channels} channels$"
+        with pytest.raises(ib.DimensionMismatch, match=message):
+            ib.RecoveryFamily(labels, (self.channel(),) * n_channels)
 
     def test_labels_are_distinct(self):
         with pytest.raises(ib.DuplicateLabel, match=r"^channels\[2\]: outcome '0'"):
-            ib.RecoveryFamily(("0", "1", "0"), (self.channel(),) * 3, (False,) * 3)
+            ib.RecoveryFamily(("0", "1", "0"), (self.channel(),) * 3)
 
     def test_no_channel_is_empty(self):
         with pytest.raises(ib.InvalidInstrument, match=r"^channels\[1\]: outcome '1'"):
-            ib.RecoveryFamily(("0", "1"), (self.channel(), ()), (False, False))
+            ib.RecoveryFamily(("0", "1"), (self.channel(), ()))
 
 
 class TestMalformedChannels:
@@ -414,8 +414,7 @@ class TestMalformedChannels:
     def test_named_as_a_dimension_mismatch(self, channel):
         rho = qstate([0.5, 0.5])
         family = ib.petz_family(ib.projective(), rho)
-        bad = ib.RecoveryFamily(family.outcome_labels, (family.channels[0], channel),
-                                family.completion_flags)
+        bad = ib.RecoveryFamily(family.outcome_labels, (family.channels[0], channel))
         with pytest.raises(ib.DimensionMismatch, match="outcome '1'"):
             ib.corrected_fidelity(ib.projective(), rho, bad)
 
@@ -428,8 +427,7 @@ class TestMalformedChannels:
     def test_non_finite_entries_are_named(self, channel, index, check):
         instr, rho = ib.projective(), qstate([0.5, 0.5])
         family = ib.petz_family(instr, rho)
-        bad = ib.RecoveryFamily(family.outcome_labels, (family.channels[0], channel),
-                                family.completion_flags)
+        bad = ib.RecoveryFamily(family.outcome_labels, (family.channels[0], channel))
         with pytest.raises(ib.InvalidInstrument,
                            match=rf"^non-finite entries: outcome '1' Kraus {index}$"):
             check(instr, rho, bad)
@@ -545,12 +543,10 @@ class TestOutcomeWiseOracle:
         instr, rho = pair
         channels, spare, sigmas = outcome_wise_channels(instr, rho)
         family = ib.petz_family(instr, rho)
-        for om, got, want, flag in zip(instr.outcomes, family.channels, channels,
-                                       family.completion_flags):
+        for om, got, want in zip(instr.outcomes, family.channels, channels):
             expected = spare if want is None else want
             assert [k.tobytes() for k in got] == [k.tobytes() for k in expected], om.label
             assert all(k.shape == (instr.d_in, instr.d_out) for k in got)
-            assert flag == (want is None or len(want) > om.multiplicity)
             if want is None:
                 p = float(np.trace(sigmas[instr.outcome_index(om.label)]).real)
                 message = re.escape(f"probability {p:.3e}") + "$"  # 0.000e+00 holds a '+'
@@ -638,3 +634,21 @@ class TestKeptPosteriors:
         expected = np.array([om.apply(rho.matrix) for om in instr.outcomes])
         assert kept.shape == expected.shape
         assert kept.tobytes() == expected.tobytes()
+
+
+class TestPetzMemory:
+    """Each channel is built from its own outcome, so the construction holds
+    little beyond the family it returns."""
+
+    def test_peak_is_within_three_families(self):
+        instr = ib.random_instrument(0, 64, 64, 4, 3)
+        rho = random_state(np.random.default_rng(0), 64)  # full rank
+        ib.petz_family(instr, rho)  # keeps the pair's analysis, so only the build is traced
+        tracemalloc.start()
+        try:
+            family = ib.petz_family(instr, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(k.nbytes for kraus in family.channels for k in kraus)
+        assert peak <= 3 * size, f"peak {peak} B is {peak / size:.2f} families"
