@@ -109,7 +109,6 @@ from .encodings import (
     random_reference_povm,
 )
 from .families import (
-    DEFAULT_PARAMS,
     FAMILIES,
     depolarizing,
     filter_family,

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .encodings import holevo_check
 from .errors import InfoBalanceError, ParseError
-from .families import DEFAULT_PARAMS, FAMILIES
+from .families import FAMILIES
 from .measures import _iter_reports, balance_report
 from .objects import Instrument, purify, random_instrument, validate
 from .recovery import correction_thresholds, fano_bound_check, petz_family
@@ -63,8 +63,7 @@ def _load_instrument(arg: str, check: bool = True) -> Instrument:
         rest = arg[len("family:"):]
         name, _, param = rest.partition(":")
         family = _family(name)
-        t = _number(param, "family parameter") if param else DEFAULT_PARAMS[name]
-        return family(t)
+        return family(_number(param, "family parameter")) if param else family()
     return loads_instrument(_read_text(arg), validate_invariants=check)
 
 
@@ -199,7 +198,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     family = _family(args.family)
-    if args.grid:
+    if args.grid is not None:
         grid = [_number(v, "--grid") for v in args.grid.split(",") if v]
     else:
         grid = list(np.linspace(0.0, 1.0, args.points))

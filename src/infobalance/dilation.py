@@ -179,12 +179,7 @@ def tensor_product(a: LabeledState, b: LabeledState) -> LabeledState:
     shared = {lab.name for lab in a.labels} & {lab.name for lab in b.labels}
     if shared:
         raise DuplicateLabel(f"label names {sorted(shared)} appear on both factors")
-    return LabeledState(
-        a.labels + b.labels,
-        np.kron(a.matrix, b.matrix),
-        subnormalized=a.subnormalized or b.subnormalized,
-        validate=False,
-    )
+    return LabeledState(a.labels + b.labels, np.kron(a.matrix, b.matrix), validate=False)
 
 
 def theta_state(instr: Instrument, rho: LabeledState) -> LabeledState:

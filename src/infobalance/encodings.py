@@ -50,17 +50,12 @@ _PCG_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 1
 class Encoding:
     """Letter decomposition of the input state induced by a reference POVM.
 
-    ``parts[i]`` is the subnormalized contribution of letter ``alphabet[i]``;
-    the parts sum to the encoded state.
+    ``parts[i]`` is the subnormalized contribution of the letter
+    ``reference_povm.labels[i]``; the parts sum to the encoded state.
     """
 
-    alphabet: tuple[str, ...]
     reference_povm: Povm
     parts: tuple[np.ndarray, ...]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([float(np.trace(p).real) for p in self.parts])
 
 
 def ensemble_from_reference_povm(inp: PurifiedInput, povm_r: Povm) -> Encoding:
@@ -71,7 +66,7 @@ def ensemble_from_reference_povm(inp: PurifiedInput, povm_r: Povm) -> Encoding:
             f"reference POVM dimension {povm_r.d} != purification r_dim {inp.r_dim}"
         )
     parts = _letter_parts(inp, np.stack([m for _, m in povm_r.elements]))
-    return Encoding(povm_r.labels, povm_r, tuple(parts))
+    return Encoding(povm_r, tuple(parts))
 
 
 def _letter_parts(inp: PurifiedInput, stack: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ def projective(t: float = 0.0) -> Instrument:
     )
 
 
-def filter_family(t: float) -> Instrument:
+def filter_family(t: float = 2.0 / 3.0) -> Instrument:
     """E_0 = diag(1-t, 1) with the completing filter on the other outcome."""
     _check_unit("filter", t)
     a = 1.0 - float(t)
@@ -62,7 +62,7 @@ def filter_family(t: float) -> Instrument:
     )
 
 
-def partial_dephasing(t: float) -> Instrument:
+def partial_dephasing(t: float = 1.0) -> Instrument:
     """Weak computational-basis measurement of strength t."""
     _check_unit("partial-dephasing", t)
     a = np.sqrt((1.0 + float(t)) / 2.0)
@@ -141,12 +141,4 @@ FAMILIES = {
     "partial-dephasing": partial_dephasing,
     "depolarizing": depolarizing,
     "projective": projective,
-}
-
-#: parameter used when a family is requested without one
-DEFAULT_PARAMS = {
-    "filter": 2.0 / 3.0,
-    "partial-dephasing": 1.0,
-    "depolarizing": 1.0,
-    "projective": 0.0,
 }

@@ -25,7 +25,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .tensors import LabeledState, Subsystem, _hermitian, _read_only, eig_hermitian
+from .tensors import LabeledState, Subsystem, _hermitian, _is_int, _read_only, eig_hermitian
 
 #: max deviation tolerated for trace preservation / POVM completeness
 TP_ATOL = 1e-8
@@ -166,7 +166,7 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
     groups: dict[tuple, list[int]] = {}
     for i, instr in enumerate(instrs):
         shape = (instr.d_out, instr.d_in)
-        if min(shape) >= 1 and instr.outcomes and all(
+        if _dims_ok(instr) and instr.outcomes and all(
             e.shape == shape for o in instr.outcomes for e in o.kraus
         ):
             mults = tuple(o.multiplicity for o in instr.outcomes)
@@ -196,13 +196,18 @@ def _validation_reports(instrs: list[Instrument]) -> list[ValidationReport]:
     return reports
 
 
+def _dims_ok(instr: Instrument) -> bool:
+    """Whether ``d_in`` and ``d_out`` are integers >= 1."""
+    return all(_is_int(d) and d >= 1 for d in (instr.d_in, instr.d_out))
+
+
 def _malformed(instr: Instrument) -> ValidationReport:
     """The failing report of an instrument without outcomes, with a dimension
-    below 1, or with a Kraus operator of the wrong shape or not finite."""
+    that is not an integer >= 1, or with a Kraus operator of the wrong shape
+    or not finite."""
     issues: list[str] = []
-    dims_ok = True
-    if instr.d_in < 1 or instr.d_out < 1:
-        dims_ok = False
+    dims_ok = _dims_ok(instr)
+    if not dims_ok:
         issues.append(f"dimensions: d_in={instr.d_in}, d_out={instr.d_out}")
     if not instr.outcomes:
         issues.append("instrument has no outcomes")
@@ -299,10 +304,10 @@ class Povm:
         return tuple(lab for lab, _ in self.elements)
 
 
-def check_povm(povm: Povm, atol: float = TP_ATOL) -> None:
+def check_povm(povm: Povm) -> None:
     """Raise :class:`InvalidPovm` unless elements are Hermitian, PSD and complete."""
     stack = np.reshape([m for _, m in povm.elements], (-1, povm.d, povm.d))
-    _check_povm_stack(stack, povm.labels, atol)
+    _check_povm_stack(stack, povm.labels)
 
 
 def _check_povm_stack(stack: np.ndarray, labels, atol: float = TP_ATOL) -> None:
@@ -486,7 +491,13 @@ def random_instrument(
 
     Deterministic for a fixed seed; the output always validates.
     """
-    if min(d_in, d_out, n_outcomes, multiplicity) < 1:
+    sizes = (d_in, d_out, n_outcomes, multiplicity)
+    if not all(map(_is_int, sizes)):
+        raise DimensionTooSmall(
+            f"d_in, d_out, n_outcomes and multiplicity must be integers, got "
+            f"{d_in}, {d_out}, {n_outcomes}, {multiplicity}"
+        )
+    if min(sizes) < 1:
         raise DimensionTooSmall(
             f"d_in, d_out, n_outcomes and multiplicity must be >= 1, got "
             f"{d_in}, {d_out}, {n_outcomes}, {multiplicity}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +39,11 @@ _PSD_ATOL = 1e-10
 _TRACE_ATOL = 1e-10
 
 
+def _is_int(n) -> bool:
+    """Whether ``n`` is an integer, numpy's included; a ``bool`` is not one."""
+    return isinstance(n, Integral) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class Subsystem:
     """A named tensor factor together with its Hilbert-space dimension."""
@@ -48,7 +54,7 @@ class Subsystem:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise InvalidState("subsystem name must be a nonempty string")
-        if int(self.dim) < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise InvalidState(f"subsystem {self.name!r} has dimension {self.dim}")
 
 
@@ -82,23 +88,15 @@ class LabeledState:
 
     Invariants (checked when ``validate=True``): Hermitian within 1e-10,
     positive semidefinite with min eigenvalue >= -1e-10, and unit trace
-    within 1e-10.  ``subnormalized=True`` relaxes the trace condition to
-    ``trace <= 1`` for conditional states.  The stored matrix is symmetrized
-    to (M + M†)/2 and made read-only, and the attributes cannot be rebound
+    within 1e-10.  The stored matrix is symmetrized to (M + M†)/2 and made
+    read-only, and the attributes cannot be rebound
     (:class:`dataclasses.FrozenInstanceError`), so instances are safe to
     share between threads.
     """
 
-    __slots__ = ("labels", "matrix", "subnormalized")
+    __slots__ = ("labels", "matrix")
 
-    def __init__(
-        self,
-        labels: Sequence[Subsystem],
-        matrix,
-        *,
-        subnormalized: bool = False,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, labels: Sequence[Subsystem], matrix, *, validate: bool = True) -> None:
         labels = tuple(labels)
         names = [lab.name for lab in labels]
         if len(set(names)) != len(names):
@@ -125,14 +123,10 @@ class LabeledState:
                     f"not positive semidefinite: min eigenvalue = {eigs[0]:.3e}"
                 )
             tr = float(np.trace(m).real)
-            if subnormalized:
-                if tr > 1.0 + _TRACE_ATOL:
-                    raise InvalidState(f"subnormalized trace {tr} exceeds 1")
-            elif abs(tr - 1.0) > _TRACE_ATOL:
+            if abs(tr - 1.0) > _TRACE_ATOL:
                 raise InvalidState(f"trace = {tr}, expected 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", _read_only(m))
-        object.__setattr__(self, "subnormalized", subnormalized)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -142,8 +136,7 @@ class LabeledState:
 
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, not by assignment
-        return partial(LabeledState, subnormalized=self.subnormalized, validate=False), (
-            self.labels, self.matrix)
+        return partial(LabeledState, validate=False), (self.labels, self.matrix)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -160,12 +153,6 @@ class LabeledState:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def revalidated(self) -> "LabeledState":
-        """Re-run the full construction checks (used by invariant tests)."""
-        return LabeledState(
-            self.labels, self.matrix, subnormalized=self.subnormalized, validate=True
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{lab.name}:{lab.dim}" for lab in self.labels)
@@ -200,10 +187,7 @@ def partial_trace(state: LabeledState, keep: Sequence[str]) -> LabeledState:
     for i in kept:
         d_keep *= dims[i]
     return LabeledState(
-        tuple(state.labels[i] for i in kept),
-        reduced.reshape(d_keep, d_keep),
-        subnormalized=state.subnormalized,
-        validate=False,
+        tuple(state.labels[i] for i in kept), reduced.reshape(d_keep, d_keep), validate=False
     )
 
 
@@ -230,14 +214,9 @@ def func_on_support(matrix, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
 
     Eigenvalues at or below 1e-10 are treated as kernel, so e.g.
     ``func_on_support(m, lambda x: x**-0.5)`` is the pseudo-inverse square
-    root.  Raises :class:`NegativeEigenvalue` below -1e-8.  ``matrix`` may
-    also be a stack ``(B, d, d)``, decomposed by one stacked ``eigh``; each
-    result is then bit for bit that of its own matrix.
+    root.  Raises :class:`NegativeEigenvalue` below -1e-8.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    return _on_support(*np.linalg.eigh(_hermitian(m)), f)
+    return _on_support(*np.linalg.eigh(_hermitian(_square_complex(matrix))), f)
 
 
 def _on_support(w: np.ndarray, v: np.ndarray, f, cut=SUPPORT_CUTOFF) -> np.ndarray:

@@ -354,6 +354,14 @@ class TestSweep:
         assert (code, out, err) == (1, "", "error: filter parameter 2.0 outside [0, 1]\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("grid", ["", ","], ids=["empty", "comma"])
+    def test_empty_grid_writes_no_file(self, capsys, tmp_path, grid):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--family", "filter", "--grid", grid,
+                             "--quiet", "--out", str(path))
+        assert (code, out, err) == (1, "", "error: empty parameter grid\n")
+        assert not path.exists()
+
     def test_deterministic_bytes(self, capsys):
         _, a, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")
         _, b, _ = run(capsys, "sweep", "--family", "depolarizing", "--grid", "0,0.5,1", "--quiet")

@@ -89,7 +89,8 @@ class TestBundleInvariants:
         rng = np.random.default_rng(seed)
         instr = ib.random_instrument(seed, 2, 3, 3, 1)
         bundle = ib.dilate(instr, ib.purify(random_state(rng, 2)))
-        bundle.theta_full.revalidated()
+        theta = bundle.theta_full
+        ib.LabeledState(theta.labels, theta.matrix)
 
     def test_conditionals_are_rank_one(self):
         instr = ib.random_instrument(9, 3, 2, 2, 3)

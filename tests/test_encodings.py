@@ -26,7 +26,7 @@ class TestEnsembleFromReferencePovm:
         enc = ib.ensemble_from_reference_povm(
             inp, ib.Povm(3, (("0", np.eye(3)),))
         )
-        assert enc.alphabet == ("0",)
+        assert enc.reference_povm.labels == ("0",)
         np.testing.assert_allclose(enc.parts[0], rho.matrix, atol=1e-12)
 
     def test_projective_on_maximally_mixed(self):
@@ -97,7 +97,7 @@ class TestJointDistribution:
             ib.joint_distribution(enc, ib.projective())
 
     def test_nan_letter_state_is_rejected(self):
-        enc = ib.Encoding(("0",), ib.Povm(2, (("0", np.eye(2)),)), (np.full((2, 2), np.nan),))
+        enc = ib.Encoding(ib.Povm(2, (("0", np.eye(2)),)), (np.full((2, 2), np.nan),))
         with pytest.raises(ib.NumericalInconsistency, match="sum = nan, min = nan"):
             ib.joint_distribution(enc, ib.projective())
 

@@ -843,10 +843,8 @@ class TestInputTrace:
 
     @pytest.fixture(params=[0.5, 1.2])
     def rho(self, request):
-        if request.param < 1.0:
-            return ib.LabeledState([ib.Subsystem("Q", 2)], np.diag([0.3, 0.2]),
-                                   subnormalized=True)
-        return ib.LabeledState([ib.Subsystem("Q", 2)], np.diag([0.7, 0.5]), validate=False)
+        diag = [0.3, 0.2] if request.param < 1.0 else [0.7, 0.5]
+        return ib.LabeledState([ib.Subsystem("Q", 2)], np.diag(diag), validate=False)
 
     @staticmethod
     def refused(rho):

@@ -49,6 +49,13 @@ class TestValidate:
         assert not report.passed and not report.dims_ok
         assert any("dimensions" in issue for issue in report.issues)
 
+    @pytest.mark.parametrize("d_in, d_out", [(2.0, 2), (2, 2.0), (2, True), ("2", 2)],
+                             ids=["float-in", "float-out", "bool-out", "str-in"])
+    def test_non_integer_dimension_reported(self, projective, d_in, d_out):
+        report = ib.validate(ib.Instrument(d_in, d_out, projective.outcomes))
+        assert not report.passed and not report.dims_ok
+        assert report.issues[0] == f"dimensions: d_in={d_in}, d_out={d_out}"
+
     def test_require_valid_raises(self):
         bad = ib.Instrument(2, 2, (ib.OutcomeMap("0", (2.0 * np.eye(2),)),))
         with pytest.raises(ib.InvalidInstrument):
@@ -355,6 +362,17 @@ class TestRandomInstrument:
     def test_nonpositive_size(self, sizes):
         with pytest.raises(ib.DimensionTooSmall):
             ib.random_instrument(0, *sizes)
+
+    @pytest.mark.parametrize("sizes", [(2.0, 2, 2, 1), (2, 2.5, 2, 1), (2, 2, True, 1),
+                                       (2, 2, 2, "1")])
+    def test_non_integer_size(self, sizes):
+        with pytest.raises(ib.DimensionTooSmall, match="must be integers"):
+            ib.random_instrument(0, *sizes)
+
+    def test_numpy_integer_sizes(self):
+        a = ib.random_instrument(4, np.int64(2), 2, np.int32(2), 1)
+        b = ib.random_instrument(4, 2, 2, 2, 1)
+        assert a.kraus_stack.tobytes() == b.kraus_stack.tobytes()
 
     @given(st.integers(0, 10**6))
     def test_povm_of_random_is_valid(self, seed):
