@@ -213,39 +213,39 @@ class _Group:
     share no matrix, so every comparison between them is a numerical
     cross-check.  S(R) of the whole state is S(rho) (see ``s_input``).
 
-    Each part is computed on first use over the leading pair axis, bit for
-    bit as in a group of one.  Every outcome is laid out by runs of equal
-    multiplicity (:func:`_runs`), which slices select.  One of probability at
-    or below PROB_EPS has weight 0: it is decomposed with the others, reads
-    0 and enters no sum.
-    ``eighs``, if given, holds each pair's ``rho_eighs`` entry.
+    E_k rho is formed with the group, every other part on first use, each
+    over the leading pair axis, bit for bit as in a group of one.  Every
+    outcome is laid out by runs of equal multiplicity (:func:`_runs`), which
+    slices select.  One of probability at or below PROB_EPS has weight 0: it
+    is decomposed with the others, reads 0 and enters no sum.
+    ``eigh``, if given, is the stacked ascending ``eigh`` of the pairs' states.
     """
 
-    def __init__(self, pairs: list[tuple[Instrument, LabeledState]], eighs=None) -> None:
+    def __init__(self, pairs: list[tuple[Instrument, LabeledState]], eigh=None) -> None:
         self.exact = np.array([i.validation_report.tp_deviation <= _TP_EXACT for i, _ in pairs])
         self.mults = tuple(om.multiplicity for om in pairs[0][0].outcomes)
         self.starts = list(accumulate(self.mults, initial=0))
         self.labels = [instr.outcome_labels for instr, _ in pairs]
         self.kraus = _stacked([instr.kraus_stack for instr, _ in pairs])
         self.elements = _stacked([instr.povm_elements for instr, _ in pairs])
-        self.states = [rho for _, rho in pairs]
-        self.rho = _stacked([rho.matrix for rho in self.states])
-        if eighs is not None:
-            self.rho_eighs = eighs
+        self.rho = _stacked([rho.matrix for _, rho in pairs])
+        #: E_k rho for every Kraus operator, ``(B, K, d_out, d_in)``
+        self.mapped = self.kraus @ self.rho[:, None]
+        if eigh is not None:
+            self.eigh = eigh
 
     @_lazy
-    def rho_eighs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The ascending ``eigh`` of each pair's state (stored exactly Hermitian)."""
-        return [np.linalg.eigh(rho.matrix) for rho in self.states]
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending eigenvalues ``(B, d_in)`` and eigenvectors
+        ``(B, d_in, d_in)`` of the states (stored exactly Hermitian)."""
+        return np.linalg.eigh(self.rho)
 
     @_lazy
     def psi(self) -> np.ndarray:
         """Coefficient matrices ``(B, r, d_in)`` of the purifications, rows
-        sqrt(w_i) v_i^T for the r largest eigenvalues in ascending order, each
-        C-contiguous as in a batch."""
-        r, eighs = _support(self.rho_eighs[0][0]), self.rho_eighs
-        rows = {id(e): np.sqrt(e[0][-r:])[:, None] * e[1][:, -r:].T for e in eighs}
-        return np.array([rows[id(e)] for e in eighs])
+        sqrt(w_i) v_i^T for the r largest eigenvalues in ascending order, C-contiguous."""
+        (w, v), r = self.eigh, _support(self.eigh[0][0])
+        return np.ascontiguousarray(np.sqrt(w[:, -r:, None]) * v[:, :, -r:].swapaxes(1, 2))
 
     @_lazy
     def amplitudes(self) -> np.ndarray:
@@ -260,8 +260,7 @@ class _Group:
         split as R against everything else, the one path on which both routes
         see the same normalized reference state.  A pair with one live outcome
         reads that outcome's S(R|m), so its iota_m is 0.0 exactly."""
-        r = self.psi.shape[1]
-        w = np.array([e[0][-r:] for e in self.rho_eighs])
+        w = self.eigh[0][:, -self.psi.shape[1]:]
         s = _entropy_rows(w / w.cumsum(axis=1)[:, -1:]) + 0.0
         live = self.weights > 0.0
         lone = live.sum(axis=1) == 1
@@ -283,11 +282,6 @@ class _Group:
     def weights(self) -> np.ndarray:
         """``probs``, with outcomes of probability at or below PROB_EPS at zero."""
         return np.where(self.probs > PROB_EPS, self.probs, 0.0)
-
-    @_lazy
-    def mapped(self) -> np.ndarray:
-        """E_k rho for every Kraus operator, ``(B, K, d_out, d_in)``."""
-        return self.kraus @ self.rho[:, None]
 
     @_lazy
     def exchange(self) -> np.ndarray:
@@ -392,8 +386,8 @@ class _Group:
             if abs(a - b) > ROUTE_ATOL:
                 raise NumericalInconsistency(f"{name}: independent routes disagree, {a!r} vs {b!r}")
         rows, sums, excluded, worst = [], [0.0, 0.0, 0.0], 0.0, 0.0
-        for m, (label, p) in enumerate(zip(self.labels[k], probs)):
-            if p <= PROB_EPS:
+        for m, (label, p, live) in enumerate(zip(self.labels[k], probs, self.weights[k] > 0.0)):
+            if not live:
                 excluded += max(p, 0.0)
                 continue
             iota_m, delta_m, noise_m = values = self.outcome(k, m)
@@ -486,7 +480,8 @@ def single_outcome_quantities(
     is not.  They satisfy iota_m + noise_m = delta_m.
     """
     group, idx = _analysis(instr, rho), instr.outcome_index(outcome)
-    if (p := float(group.probs[0, idx])) <= PROB_EPS:
+    if not group.weights[0, idx] > 0.0:
+        p = group.probs[0, idx]
         raise ZeroProbabilityOutcome(f"outcome {outcome!r} has probability {p:.3e}")
     return group.outcome(0, idx)
 
@@ -602,7 +597,8 @@ def _block_reports(pairs: list, offset: int) -> list[BalanceReport]:
         groups.setdefault(key, []).append(k)
     rows: list = [None] * len(pairs)  # the report method of each pair's group, and its index
     for idx in groups.values():
-        group = _Group([pairs[k] for k in idx], [eighs[id(pairs[k][1])] for k in idx])
+        w, v = zip(*(eighs[id(pairs[k][1])] for k in idx))
+        group = _Group([pairs[k] for k in idx], (np.array(w), np.array(v)))
         group.tables  # every spectrum of the group; a kernel's error names no pair
         for j, k in enumerate(idx):
             rows[k] = (group.report, j)

@@ -203,17 +203,19 @@ def _dims_ok(instr: Instrument) -> bool:
 
 def _malformed(instr: Instrument) -> ValidationReport:
     """The failing report of an instrument without outcomes, with a dimension
-    that is not an integer >= 1, or with a Kraus operator of the wrong shape
-    or not finite."""
+    that is not an integer >= 1 (a non-integer one is shown by ``repr``, and
+    no Kraus shape is compared with it), or with a Kraus operator of the
+    wrong shape or not finite."""
     issues: list[str] = []
-    dims_ok = _dims_ok(instr)
+    dims_ok, ints = _dims_ok(instr), _is_int(instr.d_in) and _is_int(instr.d_out)
     if not dims_ok:
-        issues.append(f"dimensions: d_in={instr.d_in}, d_out={instr.d_out}")
+        d_in, d_out = (d if _is_int(d) else repr(d) for d in (instr.d_in, instr.d_out))
+        issues.append(f"dimensions: d_in={d_in}, d_out={d_out}")
     if not instr.outcomes:
         issues.append("instrument has no outcomes")
     for o in instr.outcomes:
         for j, e in enumerate(o.kraus):
-            if e.shape != (instr.d_out, instr.d_in):
+            if ints and e.shape != (instr.d_out, instr.d_in):
                 dims_ok = False
                 issues.append(
                     f"dimensions: outcome {o.label!r} Kraus {j} has shape "

@@ -60,7 +60,7 @@ def _transpose_channels(group, pick) -> list[tuple]:
     E_m(rho), or only that re-preparation on the whole output where p_m ~ 0.
     Every outcome goes through one stacked ``eigh``; one of p_m ~ 0 is then
     given eigenvalues 0 and the standard basis, so its kernel is the output."""
-    (w, v), kraus, starts = group.rho_eighs[0], group.kraus[0], group.starts
+    (w, v), kraus, starts = (x[0] for x in group.eigh), group.kraus[0], group.starts
     sigmas, live, cut = group.posteriors[0], group.weights[0] > 0.0, _support_cut(w)
     keep = w > cut  # sqrt(rho) and the re-preparation keep the purification's support
     sqrt_rho, roots = _on_support(w, v, np.sqrt, cut), np.sqrt(w[keep])[:, None, None, None]

@@ -141,10 +141,7 @@ def loads_instrument(text: str, validate_invariants: bool = True) -> Instrument:
         kraus = tuple(
             _matrix_in(k, f"outcomes[{i}].kraus[{j}]") for j, k in enumerate(knode)
         )
-        try:
-            outcomes.append(OutcomeMap(label, kraus))
-        except InfoBalanceError as exc:
-            raise ParseError(f"outcomes[{i}]: {exc}") from exc
+        outcomes.append(OutcomeMap(label, kraus))
     try:
         instr = Instrument(d_in, d_out, tuple(outcomes))
     except InfoBalanceError as exc:

@@ -11,7 +11,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import partial
 from numbers import Integral
 from typing import Callable, Sequence
@@ -83,6 +83,7 @@ def _square_complex(matrix) -> np.ndarray:
     return m
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class LabeledState:
     """Density operator over an ordered list of named subsystems.
 
@@ -94,14 +95,17 @@ class LabeledState:
     share between threads.
     """
 
-    __slots__ = ("labels", "matrix")
+    labels: tuple[Subsystem, ...]
+    matrix: np.ndarray
+    _: KW_ONLY
+    validate: InitVar[bool] = True
 
-    def __init__(self, labels: Sequence[Subsystem], matrix, *, validate: bool = True) -> None:
-        labels = tuple(labels)
+    def __post_init__(self, validate: bool) -> None:
+        labels = tuple(self.labels)
         names = [lab.name for lab in labels]
         if len(set(names)) != len(names):
             raise DuplicateLabel(f"duplicate subsystem names in {names}")
-        m = _square_complex(matrix)
+        m = _square_complex(self.matrix)
         dim = 1
         for lab in labels:
             dim *= lab.dim
@@ -127,12 +131,6 @@ class LabeledState:
                 raise InvalidState(f"trace = {tr}, expected 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", _read_only(m))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # copies and pickles rebuild through the constructor, not by assignment
@@ -173,8 +171,6 @@ def partial_trace(state: LabeledState, keep: Sequence[str]) -> LabeledState:
     if unknown:
         raise UnknownLabel(f"unknown subsystem names {unknown}; state has {names}")
     n = len(names)
-    if n == 0:
-        return state
     keep_set = set(keep)
     kept = [i for i in range(n) if names[i] in keep_set]
     dims = list(state.dims)

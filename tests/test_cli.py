@@ -570,6 +570,51 @@ class TestMalformedInput:
         assert "outside [0, 1]" in err
 
 
+def edited_file(tmp_path, text, edit):
+    """The JSON document ``text`` after ``edit``, written to a file."""
+    doc = json.loads(text)
+    edit(doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: doc["outcomes"][0].update(kraus=[]),
+         lambda doc: doc["outcomes"][1].update(label=doc["outcomes"][0]["label"])],
+        ids=["empty-kraus", "repeated-label"],
+    )
+    def test_instrument_file_exits_2(self, capsys, tmp_path, edit):
+        path = edited_file(tmp_path, ib.dumps_instrument(ib.projective()), edit)
+        code, out, err = run(capsys, "analyze", path, "--quiet")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: doc["labels"][0].update(dim=0), lambda doc: doc["labels"][0].update(name="")],
+        ids=["zero-dim", "empty-name"],
+    )
+    def test_state_file_label_exits_2(self, capsys, tmp_path, edit):
+        path = edited_file(tmp_path, ib.dumps_state(qstate([0.5, 0.5])), edit)
+        code, out, err = run(capsys, "analyze", "family:filter", "--state", path, "--quiet")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: labels[0]: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--family", "filter", "--points", "3"], ["random", "--seed", "3"]],
+        ids=["sweep", "random"],
+    )
+    def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--quiet", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("io error: ") and err.count("\n") == 1
+        assert not path.exists()
+
+
 #: json fields that carry entropies; every value under residual_routes is one too
 ENTROPIC_JSON_FIELDS = {
     "iota", "delta", "noise", "iota_g", "residual_balance", "iota_m", "delta_m",

@@ -150,6 +150,16 @@ class TestClassicalEntropies:
         with pytest.raises(ib.BadDistribution):
             call()
 
+    @pytest.mark.parametrize(
+        "probs, want",
+        [([0.5, 0.5], 1.0), ([1.0, 0.0], 0.0), ([0.5, 0.5, 1e-13], 1.0), ([], 0.0)],
+        ids=["fair", "certain", "below-cutoff", "empty"],
+    )
+    def test_shannon_entropy_values(self, probs, want):
+        got = ib.shannon_entropy(probs)
+        # a certain outcome reads +0.0: the sign bit is clear
+        assert got == want and math.copysign(1.0, got) == 1.0
+
 
 class TestInformationGain:
     def test_projective_on_mixed(self):
@@ -738,6 +748,34 @@ class TestRecoveryCallBudget:
         instr, rho, calls = pair
         ib.petz_recovery(instr, rho, instr.outcome_labels[-1])
         assert len(calls) == 1
+
+
+class TestLazyParts:
+    """A part of the analysis built on first use is one that some entry point
+    leaves out on a fresh pair; a part every entry point builds is formed
+    with the analysis."""
+
+    def test_each_lazy_part_is_left_out_by_an_entry_point(self):
+        instr = ib.random_instrument(5, 3, 3, 3, 2)
+        rho = random_state(np.random.default_rng(5), 3, rank=2)
+        label = instr.outcome_labels[0]
+
+        def unseen_fidelity(i, r):
+            family = ib.petz_family(i, r)
+            measures._analysis.cache_clear()
+            ib.corrected_fidelity(i, r, family)
+
+        calls = [ib.balance_report, ib.disturbance_no_outcomes,
+                 lambda i, r: ib.single_outcome_quantities(i, r, label), ib.petz_family,
+                 lambda i, r: ib.petz_recovery(i, r, label), unseen_fidelity]
+        built = []
+        for call in calls:
+            measures._analysis.cache_clear()
+            call(instr, rho)
+            built.append(set(vars(measures._analysis(instr, rho))))
+        lazy = {name for name, part in vars(measures._Group).items()
+                if isinstance(part, measures._lazy)}
+        assert lazy and not lazy & set.intersection(*built), lazy & set.intersection(*built)
 
 
 def _bits(x):

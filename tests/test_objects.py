@@ -54,7 +54,18 @@ class TestValidate:
     def test_non_integer_dimension_reported(self, projective, d_in, d_out):
         report = ib.validate(ib.Instrument(d_in, d_out, projective.outcomes))
         assert not report.passed and not report.dims_ok
-        assert report.issues[0] == f"dimensions: d_in={d_in}, d_out={d_out}"
+        assert report.issues[0] == f"dimensions: d_in={d_in!r}, d_out={d_out!r}"
+        assert len(report.issues) == 1
+
+    def test_no_outcomes_reported(self):
+        report = ib.validate(ib.Instrument(2, 2, ()))
+        assert not report.passed and report.dims_ok
+        assert report.issues == ("instrument has no outcomes",)
+
+    def test_duplicate_labels_refused(self, projective):
+        twice = (projective.outcomes[0], projective.outcomes[0])
+        with pytest.raises(ib.DuplicateLabel, match="duplicate outcome labels"):
+            ib.Instrument(2, 2, twice)
 
     def test_require_valid_raises(self):
         bad = ib.Instrument(2, 2, (ib.OutcomeMap("0", (2.0 * np.eye(2),)),))
